@@ -2,8 +2,17 @@
 
 Exit codes: 0 success, 2 parse or validation failure, 3 domain failure
 (for example c1 = 0 where a closed form needs c1 != 0), 4 numeric-window
-failure.  Exact rationals and potentially large exact integers appear in
-JSON output as strings; floating-point values stay JSON numbers.
+failure (a zeta kernel asked outside its window, or a float result outside
+the double range).  Exact rationals and potentially large exact integers
+appear in JSON output as strings; floating-point values stay JSON numbers.
+
+Every output is rendered from the report dict alone.  A text block has one
+row per top-level report key, in report order.  The label is the key with
+'_' turned into a space, except that k0_deriv0 prints as K0'(0), m_x keeps
+its underscore and zbar is skipped.  The nested values have a formatter in
+_TEXT; every other value prints with str().  A batch text line is the datum
+followed by key=value items for the key tuple its subcommand holds in
+_DATA_COMMANDS, with the nested values formatted by _LINE.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .errors import (
     SeifertError,
     ValidationError,
 )
-from .homology import first_homology, moduli_description, torsion_h2_order
+from .homology import first_homology, moduli_from_homology, torsion_h2_order
 from .parsing import format_seifert, parse_seifert
 from .partition import (
     PartitionInputs,
@@ -75,8 +84,30 @@ def _input_block(d: SeifertData) -> dict:
     }
 
 
-def _symbolic_torsion(d: SeifertData) -> str:
-    return f"(2π)^{2 - 2 * d.genus}/{d.alpha_product}"
+def _homology_block(h1) -> dict:
+    return {"rank": h1.rank, "invariant_factors": [str(f) for f in h1.invariant_factors]}
+
+
+def _moduli_block(h1, d: SeifertData, gauge_rank: int) -> dict:
+    m = moduli_from_homology(h1, d.genus, gauge_rank)
+    return {
+        "component_count": str(m.component_count),
+        "component_dimension": m.component_dimension,
+        "torsion_factors": [str(f) for f in m.torsion_factors],
+    }
+
+
+def _scalar_torsion_block(d: SeifertData, tr) -> dict:
+    symbolic = f"(2π)^{2 - 2 * d.genus}/{d.alpha_product}"
+    return {"value": tr.scalar_torsion, "symbolic": symbolic}
+
+
+def _symplectic_volume_block(tr) -> dict:
+    return {
+        "value": tr.symplectic_volume,
+        "radicand": str(tr.radicand),
+        "exponent": str(Fraction(tr.gauge_rank, 2)),
+    }
 
 
 def invariant_report(d: SeifertData, gauge_rank: int = 1) -> dict:
@@ -84,35 +115,19 @@ def invariant_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     warns: list[str] = []
     tr = _collect_warnings(warns, torsion_prefactor, d, gauge_rank)
     h1 = first_homology(d)
-    moduli = moduli_description(d, gauge_rank)
-    eta = adiabatic_eta(d, gauge_rank)
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "c1": str(chern_number(d)),
         "torsion_order": str(tr.radicand),
-        "homology": {
-            "rank": h1.rank,
-            "invariant_factors": [str(f) for f in h1.invariant_factors],
-        },
-        "eta0": str(eta),
+        "homology": _homology_block(h1),
+        "eta0": str(adiabatic_eta(d, gauge_rank)),
         "m_x": m_exponent(d, gauge_rank),
-        "scalar_torsion": {
-            "value": tr.scalar_torsion,
-            "symbolic": _symbolic_torsion(d),
-        },
+        "scalar_torsion": _scalar_torsion_block(d, tr),
         "prefactor": tr.prefactor,
         "volume_coefficient": tr.volume_coefficient,
-        "symplectic_volume": {
-            "value": tr.symplectic_volume,
-            "radicand": str(tr.radicand),
-            "exponent": str(Fraction(gauge_rank, 2)),
-        },
-        "moduli": {
-            "component_count": str(moduli.component_count),
-            "component_dimension": moduli.component_dimension,
-            "torsion_factors": [str(f) for f in moduli.torsion_factors],
-        },
+        "symplectic_volume": _symplectic_volume_block(tr),
+        "moduli": _moduli_block(h1, d, gauge_rank),
         "warnings": warns,
     }
 
@@ -121,26 +136,19 @@ def homology_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     """Homology bundle; meaningful for every valid datum, c1 = 0 included."""
     warns: list[str] = []
     h1 = first_homology(d)
-    classes = _collect_warnings(warns, torsion_h2_order, d, gauge_rank)
     c1 = chern_number(d)
     if c1 == 0:
         moduli = None
+        classes = str(_collect_warnings(warns, torsion_h2_order, d, gauge_rank))
     else:
-        m = moduli_description(d, gauge_rank)
-        moduli = {
-            "component_count": str(m.component_count),
-            "component_dimension": m.component_dimension,
-            "torsion_factors": [str(f) for f in m.torsion_factors],
-        }
+        moduli = _moduli_block(h1, d, gauge_rank)
+        classes = moduli["component_count"]
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "c1": str(c1),
-        "homology": {
-            "rank": h1.rank,
-            "invariant_factors": [str(f) for f in h1.invariant_factors],
-        },
-        "torsion_classes": str(classes),
+        "homology": _homology_block(h1),
+        "torsion_classes": classes,
         "moduli": moduli,
         "warnings": warns,
     }
@@ -160,18 +168,11 @@ def torsion_report(d: SeifertData, gauge_rank: int = 1) -> dict:
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "c1": str(c1),
-        "scalar_torsion": {
-            "value": tr.scalar_torsion,
-            "symbolic": _symbolic_torsion(d),
-        },
+        "scalar_torsion": _scalar_torsion_block(d, tr),
         "k0_deriv0": {"numeric": deriv.numeric, "closed_form": deriv.closed_form},
         "prefactor": tr.prefactor,
         "volume_coefficient": tr.volume_coefficient,
-        "symplectic_volume": {
-            "value": tr.symplectic_volume,
-            "radicand": str(tr.radicand),
-            "exponent": str(Fraction(gauge_rank, 2)),
-        },
+        "symplectic_volume": _symplectic_volume_block(tr),
         "isotropy_volume": iso,
         "warnings": warns,
     }
@@ -326,195 +327,124 @@ def _json_line(report: dict) -> str:
     return json.dumps(report, separators=(",", ":"), ensure_ascii=False)
 
 
-def _write_pairs(out, pairs):
-    width = max(len(k) for k, _ in pairs)
-    for key, value in pairs:
-        out.write(f"{key:<{width}}  {value}\n")
+def _complex_text(v: dict) -> str:
+    return f"{v['re']!r} + {v['im']!r}i"
 
 
-def _text_invariants(report: dict, out) -> None:
-    h = report["homology"]
-    m = report["moduli"]
-    st = report["scalar_torsion"]
-    sv = report["symplectic_volume"]
-    _write_pairs(
-        out,
-        [
-            ("input", report["input"]["text"]),
-            ("gauge rank", report["gauge_rank"]),
-            ("c1", report["c1"]),
-            ("torsion order", report["torsion_order"]),
-            ("homology", f"rank {h['rank']}, factors [{', '.join(h['invariant_factors'])}]"),
-            ("eta0", report["eta0"]),
-            ("m_x", report["m_x"]),
-            ("scalar torsion", f"{st['value']!r} = {st['symbolic']}"),
-            ("prefactor", repr(report["prefactor"])),
-            ("volume coefficient", repr(report["volume_coefficient"])),
-            ("symplectic volume", f"{sv['value']!r} = {sv['radicand']}^({sv['exponent']})"),
-            ("moduli", f"{m['component_count']} component(s) of dimension {m['component_dimension']}"),
-            ("warnings", "; ".join(report["warnings"]) or "(none)"),
-        ],
-    )
-
-
-def _line_invariants(report: dict) -> str:
-    h = report["homology"]
-    return (
-        f"{report['input']['text']} c1={report['c1']}"
-        f" torsion_order={report['torsion_order']}"
-        f" rank={h['rank']} factors=[{','.join(h['invariant_factors'])}]"
-        f" eta0={report['eta0']} m_x={report['m_x']}"
-    )
-
-
-def _text_homology(report: dict, out) -> None:
-    h = report["homology"]
-    m = report["moduli"]
-    rows = [
-        ("input", report["input"]["text"]),
-        ("gauge rank", report["gauge_rank"]),
-        ("c1", report["c1"]),
-        ("homology", f"rank {h['rank']}, factors [{', '.join(h['invariant_factors'])}]"),
-        ("torsion classes", report["torsion_classes"]),
-    ]
+def _moduli_text(m) -> str:
     if m is None:
-        rows.append(("moduli", "(undefined: c1 = 0)"))
-    else:
-        rows.append(
-            ("moduli", f"{m['component_count']} component(s) of dimension {m['component_dimension']}")
-        )
-    rows.append(("warnings", "; ".join(report["warnings"]) or "(none)"))
-    _write_pairs(out, rows)
+        return "(undefined: c1 = 0)"
+    return f"{m['component_count']} component(s) of dimension {m['component_dimension']}"
 
 
-def _line_homology(report: dict) -> str:
-    h = report["homology"]
-    return (
-        f"{report['input']['text']} c1={report['c1']} rank={h['rank']}"
-        f" factors=[{','.join(h['invariant_factors'])}]"
-        f" torsion_classes={report['torsion_classes']}"
-    )
+_TEXT = {
+    "input": lambda v: v["text"],
+    "homology": lambda h: f"rank {h['rank']}, factors [{', '.join(h['invariant_factors'])}]",
+    "scalar_torsion": lambda v: f"{v['value']!r} = {v['symbolic']}",
+    "k0_deriv0": lambda v: f"numeric {v['numeric']!r}, closed {v['closed_form']!r}",
+    "symplectic_volume": lambda v: f"{v['value']!r} = {v['radicand']}^({v['exponent']})",
+    "isotropy_volume": lambda v: "(undefined: c1 <= 0)" if v is None else repr(v["value"]),
+    "moduli": _moduli_text,
+    "phase_factor": _complex_text,
+    "z": _complex_text,
+    "warnings": lambda w: "; ".join(w) or "(none)",
+}
+_LABELS = {"k0_deriv0": "K0'(0)", "m_x": "m_x"}
 
 
-def _text_torsion(report: dict, out) -> None:
-    st = report["scalar_torsion"]
-    sv = report["symplectic_volume"]
-    dv = report["k0_deriv0"]
-    iso = report["isotropy_volume"]
+def _text_block(report: dict) -> str:
     rows = [
-        ("input", report["input"]["text"]),
-        ("gauge rank", report["gauge_rank"]),
-        ("c1", report["c1"]),
-        ("scalar torsion", f"{st['value']!r} = {st['symbolic']}"),
-        ("K0'(0)", f"numeric {dv['numeric']!r}, closed {dv['closed_form']!r}"),
-        ("prefactor", repr(report["prefactor"])),
-        ("volume coefficient", repr(report["volume_coefficient"])),
-        ("symplectic volume", f"{sv['value']!r} = {sv['radicand']}^({sv['exponent']})"),
-        ("isotropy volume", "(undefined: c1 <= 0)" if iso is None else repr(iso["value"])),
-        ("warnings", "; ".join(report["warnings"]) or "(none)"),
+        (_LABELS.get(key, key.replace("_", " ")), _TEXT.get(key, str)(value))
+        for key, value in report.items()
+        if key != "zbar"
     ]
-    _write_pairs(out, rows)
+    width = max(len(label) for label, _ in rows)
+    return "".join(f"{label:<{width}}  {value}\n" for label, value in rows)
 
 
-def _line_torsion(report: dict) -> str:
-    return (
-        f"{report['input']['text']} c1={report['c1']}"
-        f" scalar_torsion={report['scalar_torsion']['value']!r}"
-        f" prefactor={report['prefactor']!r}"
-        f" volume={report['symplectic_volume']['value']!r}"
-    )
+_LINE = {
+    "homology": lambda h: f"rank={h['rank']} factors=[{','.join(h['invariant_factors'])}]",
+    "scalar_torsion": lambda v: f"scalar_torsion={v['value']!r}",
+    "symplectic_volume": lambda v: f"volume={v['value']!r}",
+}
 
 
-def _text_partition(report: dict, out) -> None:
-    pf = report["phase_factor"]
-    rows = [
-        ("input", report["input"]["text"]),
-        ("gauge rank", report["gauge_rank"]),
-        ("level", report["level"]),
-        ("m_x", report["m_x"]),
-        ("classes", report["classes"]),
-        ("phase factor", f"{pf['re']!r} + {pf['im']!r}i"),
-        ("component magnitude", repr(report["component_magnitude"])),
-        ("magnitude", repr(report["magnitude"])),
-        ("coherent bound", repr(report["coherent_bound"])),
-    ]
-    if "z" in report:
-        rows.append(("z", f"{report['z']['re']!r} + {report['z']['im']!r}i"))
-    _write_pairs(out, rows)
+def _text_line(report: dict, keys: tuple) -> str:
+    items = (_LINE[k](report[k]) if k in _LINE else f"{k}={report[k]}" for k in keys)
+    return " ".join([report["input"]["text"], *items]) + "\n"
 
 
+def _emit(args, out, report: dict, render=_text_block) -> None:
+    """Write one report: an indented JSON block, or its text rendering."""
+    out.write(_json_block(report) + "\n" if args.format == "json" else render(report))
+
+
+# subcommand -> (report builder, help text, keys of the batch text line)
 _DATA_COMMANDS = {
-    "invariants": (invariant_report, _text_invariants, _line_invariants),
-    "homology": (homology_report, _text_homology, _line_homology),
-    "torsion": (torsion_report, _text_torsion, _line_torsion),
+    "invariants": (
+        invariant_report,
+        "full invariant bundle (needs c1 != 0)",
+        ("c1", "torsion_order", "homology", "eta0", "m_x"),
+    ),
+    "homology": (
+        homology_report,
+        "first homology, torsion classes, moduli",
+        ("c1", "homology", "torsion_classes"),
+    ),
+    "torsion": (
+        torsion_report,
+        "scalar torsion, prefactor, volumes",
+        ("c1", "scalar_torsion", "prefactor", "symplectic_volume"),
+    ),
 }
 
 
 def _cmd_data(args, out, err) -> int:
-    build, render_block, render_line = _DATA_COMMANDS[args.command]
+    build, _, line_keys = _DATA_COMMANDS[args.command]
     if args.data is not None:
-        report = build(_parse_and_validate(args.data), args.gauge_rank)
-        if args.format == "json":
-            out.write(_json_block(report) + "\n")
-        else:
-            render_block(report, out)
+        _emit(args, out, build(_parse_and_validate(args.data), args.gauge_rank))
         return 0
     try:
         lines = Path(args.input).read_text().splitlines()
     except OSError as exc:
-        err.write(f"error: cannot read input file: {exc}\n")
-        return 2
+        raise ValidationError(f"cannot read input file: {exc}") from exc
     for line in lines:
         try:
             report = build(_parse_and_validate(line), args.gauge_rank)
         except SeifertError as exc:
-            record = {
-                "input": line,
-                "error": {"type": type(exc).__name__, "message": str(exc)},
-            }
-            if args.format == "json":
-                out.write(_json_line(record) + "\n")
-            else:
-                out.write(f"{line.strip() or '(empty)'} error: {exc}\n")
-            continue
+            report = {"input": line, "error": {"type": type(exc).__name__, "message": str(exc)}}
         if args.format == "json":
             out.write(_json_line(report) + "\n")
+        elif "error" in report:
+            out.write(f"{line.strip() or '(empty)'} error: {report['error']['message']}\n")
         else:
-            out.write(render_line(report) + "\n")
+            out.write(_text_line(report, line_keys))
     return 0
 
 
 def _cmd_dedekind(args, out, err) -> int:
-    report = dedekind_report(args.alpha, args.beta)
-    if args.format == "json":
-        out.write(_json_block(report) + "\n")
-    else:
-        out.write(report["exact"] + "\n")
+    _emit(args, out, dedekind_report(args.alpha, args.beta), lambda r: r["exact"] + "\n")
     return 0
 
 
 def _cmd_partition(args, out, err) -> int:
     d = _parse_and_validate(args.data)
     cs = _read_cs_file(args.cs_file)
-    report = partition_report(d, args.gauge_rank, args.level, cs, args.grav_phase)
-    if args.format == "json":
-        out.write(_json_block(report) + "\n")
-    else:
-        _text_partition(report, out)
+    _emit(args, out, partition_report(d, args.gauge_rank, args.level, cs, args.grav_phase))
     return 0
+
+
+def _selftest_text(report: dict) -> str:
+    return "".join(
+        f"{c['name']}: residual={c['residual']:.3e}"
+        f" tol={c['tolerance']:.0e} {'ok' if c['ok'] else 'FAIL'}\n"
+        for c in report["checks"]
+    )
 
 
 def _cmd_selftest(args, out, err) -> int:
     report = zeta_selftest_report()
-    if args.format == "json":
-        out.write(_json_block(report) + "\n")
-    else:
-        for c in report["checks"]:
-            status = "ok" if c["ok"] else "FAIL"
-            out.write(
-                f"{c['name']}: residual={c['residual']:.3e}"
-                f" tol={c['tolerance']:.0e} {status}\n"
-            )
+    _emit(args, out, report, _selftest_text)
     return 0 if report["ok"] else 4
 
 
@@ -535,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data_command(name, help_text):
+    for name, (_, help_text, _) in _DATA_COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--data", help="one Seifert datum, e.g. '[0,-1;(2,1),(3,1),(5,1)]'")
@@ -543,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gauge-rank", type=_positive_int, default=1)
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.set_defaults(handler=_cmd_data)
-        return p
-
-    add_data_command("invariants", "full invariant bundle (needs c1 != 0)")
-    add_data_command("homology", "first homology, torsion classes, moduli")
-    add_data_command("torsion", "scalar torsion, prefactor, volumes")
 
     p = sub.add_parser("dedekind", help="Dedekind sum s(alpha, beta)")
     p.add_argument("--alpha", type=int, required=True)
@@ -576,6 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {ValidationError: 2, DomainError: 3, NumericWindowError: 4}
+
+
 def run(argv=None, out=None, err=None) -> int:
     """Entry point returning an exit code; streams default to stdout/stderr."""
     out = out if out is not None else sys.stdout
@@ -587,15 +515,9 @@ def run(argv=None, out=None, err=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args, out, err)
-    except ValidationError as exc:
+    except tuple(_EXIT_CODES) as exc:
         err.write(f"error: {exc}\n")
-        return 2
-    except DomainError as exc:
-        err.write(f"error: {exc}\n")
-        return 3
-    except NumericWindowError as exc:
-        err.write(f"error: {exc}\n")
-        return 4
+        return next(code for base, code in _EXIT_CODES.items() if isinstance(exc, base))
 
 
 def main() -> None:

@@ -4,7 +4,8 @@ The hierarchy mirrors how the CLI maps failures to exit codes:
 
 * ValidationError   -> exit 2 (bad input data or unparsable text)
 * DomainError       -> exit 3 (valid data outside a formula's domain)
-* NumericWindowError-> exit 4 (zeta kernel asked outside its accuracy window)
+* NumericWindowError-> exit 4 (zeta kernel asked outside its accuracy window,
+                       or a float result outside the double range)
 """
 
 
@@ -106,7 +107,8 @@ class CsLengthMismatch(DomainError):
 
 
 class NumericWindowError(SeifertError):
-    """The zeta kernels were asked for a point outside their contract."""
+    """A zeta kernel was asked for a point outside its contract, or a float
+    result lies outside the double range."""
 
 
 class PoleAtOne(NumericWindowError):

@@ -219,11 +219,17 @@ def moduli_description(data: SeifertData, gauge_rank: int = 1) -> ModuliDescript
         raise ValueError(f"gauge rank must be >= 1, got {gauge_rank}")
     if chern_number(d) == 0:
         raise ChernNumberZero()
-    h1 = first_homology(d)
+    return moduli_from_homology(first_homology(d), d.genus, gauge_rank)
+
+
+def moduli_from_homology(
+    h1: AbelianGroupDecomposition, genus: int, gauge_rank: int
+) -> ModuliDescription:
+    """The moduli_description of a c1 != 0 datum of this genus, from its H1."""
     factors = tuple(sorted(h1.invariant_factors * gauge_rank))
     return ModuliDescription(
         component_count=h1.torsion_order() ** gauge_rank,
-        component_dimension=2 * d.genus * gauge_rank,
+        component_dimension=2 * genus * gauge_rank,
         gauge_rank=gauge_rank,
         torsion_factors=factors,
     )

@@ -4,6 +4,7 @@
     pairs  := ';' ( pair (',' pair)* )?
     pair   := '(' int ',' int ')'
     int    := '-'? digit+
+    digit  := '0' | '1' | ... | '9'      (ASCII only)
 
 Whitespace is allowed between tokens.  '[g,n]' and '[g,n;]' both denote an
 empty pair list.  parse_seifert checks the grammar only; run the result
@@ -40,7 +41,7 @@ class _Scanner:
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == digits:
             found = self.text[start] if start < len(self.text) else None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dedekind import adiabatic_eta
-from .errors import ChernNumberZero, CsLengthMismatch
+from .errors import ChernNumberZero, CsLengthMismatch, NumericWindowError
 from .seifert import SeifertData, torsion_order_integer, validate_seifert
 from .torsion import volume_coefficient
 
@@ -73,7 +73,10 @@ def phase_factor(data: SeifertData, gauge_rank: int = 1) -> complex:
 def _level_power(level: int, exponent: int) -> float:
     """k^m with the negative-exponent case kept exact until the division."""
     if exponent >= 0:
-        return float(level**exponent)
+        try:
+            return float(level**exponent)
+        except OverflowError:
+            raise NumericWindowError("level power k^m_X is outside the double range") from None
     return float(Fraction(1, level ** (-exponent)))
 
 

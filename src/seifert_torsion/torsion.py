@@ -21,6 +21,7 @@ from .errors import (
     NegativeChernWarning,
     NonPositiveAlpha,
     NonPositiveChern,
+    NumericWindowError,
     SingularPoint,
     UnsupportedWindow,
 )
@@ -198,7 +199,10 @@ def scalar_torsion_trivial(data: SeifertData) -> float:
     d = validate_seifert(data)
     if chern_number(d) == 0:
         raise ChernNumberZero()
-    return TWO_PI ** (2 - 2 * d.genus) / d.alpha_product
+    try:
+        return TWO_PI ** (2 - 2 * d.genus) / d.alpha_product
+    except OverflowError:
+        raise NumericWindowError("scalar torsion is outside the double range") from None
 
 
 def volume_coefficient(data: SeifertData, gauge_rank: int = 1) -> float:
@@ -209,7 +213,10 @@ def volume_coefficient(data: SeifertData, gauge_rank: int = 1) -> float:
     order = torsion_order_integer(d)
     if order == 0:
         raise ChernNumberZero()
-    return float(order) ** (-gauge_rank / 2.0)
+    try:
+        return float(order) ** (-gauge_rank / 2.0)
+    except OverflowError:
+        raise NumericWindowError("volume coefficient is outside the double range") from None
 
 
 @dataclass(frozen=True)
@@ -248,12 +255,19 @@ def torsion_prefactor(data: SeifertData, gauge_rank: int = 1) -> TorsionReport:
             stacklevel=2,
         )
     radicand = torsion_order_integer(d)
-    k_x = float(radicand) ** (-gauge_rank / 2.0)
+    try:
+        k_x = float(radicand) ** (-gauge_rank / 2.0)
+        prefactor = TWO_PI ** (-gauge_rank * d.genus) * k_x
+        volume = float(radicand) ** (gauge_rank / 2.0)
+    except OverflowError:
+        raise NumericWindowError(
+            f"prefactor or symplectic volume at gauge rank {gauge_rank} is outside the double range"
+        ) from None
     return TorsionReport(
         scalar_torsion=scalar_torsion_trivial(d),
-        prefactor=TWO_PI ** (-gauge_rank * d.genus) * k_x,
+        prefactor=prefactor,
         volume_coefficient=k_x,
-        symplectic_volume=float(radicand) ** (gauge_rank / 2.0),
+        symplectic_volume=volume,
         radicand=radicand,
         gauge_rank=gauge_rank,
     )

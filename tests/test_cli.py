@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from seifert_torsion import cli
+from seifert_torsion import cli, homology
 from seifert_torsion.errors import UnsupportedWindow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,6 +53,110 @@ class TestGolden:
         assert code == 0 and err == ""
         expected = json.loads((GOLDEN / name).read_text())
         assert_matches(expected, json.loads(out))
+
+
+class TestTextOutput:
+    """Text blocks pinned byte for byte."""
+
+    CASES = {
+        "invariants-readme": (
+            ("invariants", "--data", "[0,-1;(2,1),(3,1),(5,1)]"),
+            "input               [0,-1;(2,1),(3,1),(5,1)]\n"
+            "gauge rank          1\n"
+            "c1                  1/30\n"
+            "torsion order       1\n"
+            "homology            rank 0, factors []\n"
+            "eta0                -91/180\n"
+            "m_x                 -1\n"
+            "scalar torsion      1.315947253478581 = (2π)^2/30\n"
+            "prefactor           1.0\n"
+            "volume coefficient  1.0\n"
+            "symplectic volume   1.0 = 1^(1/2)\n"
+            "moduli              1 component(s) of dimension 0\n"
+            "warnings            (none)\n",
+        ),
+        "homology-t24": (
+            ("homology", "--data", "[0,2;(3,1),(3,1)]"),
+            "input            [0,2;(3,1),(3,1)]\n"
+            "gauge rank       1\n"
+            "c1               8/3\n"
+            "homology         rank 0, factors [24]\n"
+            "torsion classes  24\n"
+            "moduli           24 component(s) of dimension 0\n"
+            "warnings         (none)\n",
+        ),
+        "homology-chern-zero": (
+            ("homology", "--data", "[1,0]"),
+            "input            [1,0]\n"
+            "gauge rank       1\n"
+            "c1               0\n"
+            "homology         rank 3, factors []\n"
+            "torsion classes  1\n"
+            "moduli           (undefined: c1 = 0)\n"
+            "warnings         c1 = 0: torsion-power identity not asserted for this datum\n",
+        ),
+        "torsion-t24": (
+            ("torsion", "--data", "[0,2;(3,1),(3,1)]"),
+            "input               [0,2;(3,1),(3,1)]\n"
+            "gauge rank          1\n"
+            "c1                  8/3\n"
+            "scalar torsion      4.386490844928604 = (2π)^2/9\n"
+            "K0'(0)              numeric -2.957059112842296, closed -2.9570591109649422\n"
+            "prefactor           0.2041241452319315\n"
+            "volume coefficient  0.2041241452319315\n"
+            "symplectic volume   4.898979485566356 = 24^(1/2)\n"
+            "isotropy volume     1.632993161855452\n"
+            "warnings            (none)\n",
+        ),
+        "torsion-negative-chern": (
+            ("torsion", "--data", "[0,-1;(2,1),(3,1)]"),
+            "input               [0,-1;(2,1),(3,1)]\n"
+            "gauge rank          1\n"
+            "c1                  -1/6\n"
+            "scalar torsion      6.579736267392906 = (2π)^2/6\n"
+            "K0'(0)              numeric -3.7679893293084956, closed -3.7679893271812714\n"
+            "prefactor           1.0\n"
+            "volume coefficient  1.0\n"
+            "symplectic volume   1.0 = 1^(1/2)\n"
+            "isotropy volume     (undefined: c1 <= 0)\n"
+            "warnings            c1 < 0: positivity expected of the fibration orientation"
+            " is violated; absolute values used\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_block(self, name):
+        argv, expected = self.CASES[name]
+        assert invoke(*argv) == (0, expected, "")
+
+    PARTITION = (
+        "input                [0,2;(3,1),(3,1)]\n"
+        "gauge rank           1\n"
+        "level                3\n"
+        "m_x                  -1\n"
+        "classes              24\n"
+        "phase factor         0.9063077870366499 + 0.42261826174069944i\n"
+        "component magnitude  0.06804138174397717\n"
+        "magnitude            0.20148607261977433\n"
+        "coherent bound       1.632993161855452\n"
+    )
+
+    @pytest.mark.parametrize(
+        "extra,tail",
+        [
+            ((), ""),
+            (
+                ("--grav-phase", "0.25"),
+                "z                    0.09250385952103628 + 0.1789962944684983i\n",
+            ),
+        ],
+        ids=["zbar-only", "grav-phase"],
+    )
+    def test_partition_block(self, tmp_path, extra, tail):
+        path = tmp_path / "cs.txt"
+        path.write_text(" ".join(str(0.1 * i) for i in range(24)))
+        argv = ("partition", "--data", "[0,2;(3,1),(3,1)]", "--cs-file", str(path), "--level", "3")
+        assert invoke(*argv, *extra) == (0, self.PARTITION + tail, "")
 
 
 class TestInvariantReport:
@@ -118,6 +222,84 @@ class TestExitCodes:
     def test_unreadable_input_file(self):
         code, _, err = invoke("invariants", "--input", "/no/such/file")
         assert code == 2 and "error:" in err
+
+
+class TestNonAsciiDigits:
+    """Only 0-9 are digits; other Unicode digits are parse errors (exit 2)."""
+
+    @pytest.mark.parametrize("datum", ["[٣,0]", "[²,0]"], ids=["arabic-indic", "superscript"])
+    def test_data_is_parse_error(self, datum):
+        expected = f"error: offset 1: expected integer (genus), found {datum[1]!r}\n"
+        assert invoke("invariants", "--data", datum) == (2, "", expected)
+
+    def test_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text("[1,1]\n[²,0]\n[0,2;(3,1),(3,1)]\n")
+        code, out, err = invoke("invariants", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 3
+        assert rows[1]["error"]["type"] == "ParseError"
+        assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
+
+
+BIG = 10**400 + 1  # larger than the largest double
+
+
+class TestDoubleRange:
+    """A float result outside the double range exits 4 with a one-line message."""
+
+    CASES = {
+        "invariants-rank-500": ("invariants", "--data", "[0,2;(3,1),(3,1)]", "--gauge-rank", "500"),
+        "torsion-rank-500": ("torsion", "--data", "[0,2;(3,1),(3,1)]", "--gauge-rank", "500"),
+        "radicand": ("torsion", "--data", f"[0,1;({BIG},1)]"),
+        "alpha-product": ("torsion", "--data", f"[0,0;({10**200},1),({10**200 + 1},-1)]"),
+    }
+
+    @staticmethod
+    def assert_exit_four(code, out, err):
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.endswith(" is outside the double range\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_exit_four(self, name):
+        self.assert_exit_four(*invoke(*self.CASES[name]))
+
+    def test_level_power(self, tmp_path):
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        argv = ("partition", "--data", "[200,1]", "--level", "1000000", "--cs-file", str(path))
+        self.assert_exit_four(*invoke(*argv))
+
+    def test_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"[0,2;(3,1),(3,1)]\n[0,1;({BIG},1)]\n[1,1]\n")
+        code, out, err = invoke("torsion", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 3
+        assert rows[1]["error"]["type"] == "NumericWindowError"
+        assert rows[0]["c1"] == "8/3" and rows[2]["c1"] == "1"
+
+
+class TestComputeOnce:
+    ROWS = ("[0,-1;(2,1),(3,1),(5,1)]", "[0,2;(3,1),(3,1)]", "[1,1;(6,5),(10,3),(15,-2)]", "x")
+
+    @pytest.mark.parametrize("command", ["invariants", "homology"])
+    def test_one_smith_normal_form_per_row(self, monkeypatch, tmp_path, command):
+        # every row but the malformed last one has c1 != 0
+        calls = []
+        snf = homology.smith_normal_form
+
+        def counting_snf(matrix):
+            calls.append(matrix)
+            return snf(matrix)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
+        path = tmp_path / "batch.txt"
+        path.write_text("\n".join(self.ROWS) + "\n")
+        code, out, _ = invoke(command, "--input", str(path), "--format", "json")
+        assert code == 0 and len(out.splitlines()) == len(self.ROWS)
+        assert len(calls) == len(self.ROWS) - 1
 
 
 class TestDedekind:
@@ -236,6 +418,41 @@ class TestBatch:
         lines = out.splitlines()
         assert code == 0 and len(lines) == len(self.LINES)
         assert "error:" in lines[1] and "error:" in lines[3]
+
+    TEXT_LINES = {
+        "invariants": (
+            "[0,-1;(2,1),(3,1),(5,1)] c1=1/30 torsion_order=1 rank=0 factors=[] eta0=-91/180 m_x=-1\n"
+            "[0,1;(4,2)] error: gcd(4, 2) != 1 (pair 1)\n"
+            "[0,2;(3,1),(3,1)] c1=8/3 torsion_order=24 rank=0 factors=[24] eta0=2/9 m_x=-1\n"
+            "(empty) error: offset 0: expected '[', found end of input\n"
+            "[1,0] error: orbifold chern number c1 = 0: the closed-form moduli and torsion"
+            " identities require c1 != 0\n"
+        ),
+        "homology": (
+            "[0,-1;(2,1),(3,1),(5,1)] c1=1/30 rank=0 factors=[] torsion_classes=1\n"
+            "[0,1;(4,2)] error: gcd(4, 2) != 1 (pair 1)\n"
+            "[0,2;(3,1),(3,1)] c1=8/3 rank=0 factors=[24] torsion_classes=24\n"
+            "(empty) error: offset 0: expected '[', found end of input\n"
+            "[1,0] c1=0 rank=3 factors=[] torsion_classes=1\n"
+        ),
+        "torsion": (
+            "[0,-1;(2,1),(3,1),(5,1)] c1=1/30 scalar_torsion=1.315947253478581"
+            " prefactor=1.0 volume=1.0\n"
+            "[0,1;(4,2)] error: gcd(4, 2) != 1 (pair 1)\n"
+            "[0,2;(3,1),(3,1)] c1=8/3 scalar_torsion=4.386490844928604"
+            " prefactor=0.2041241452319315 volume=4.898979485566356\n"
+            "(empty) error: offset 0: expected '[', found end of input\n"
+            "[1,0] error: orbifold chern number c1 = 0: the closed-form moduli and torsion"
+            " identities require c1 != 0\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", TEXT_LINES)
+    def test_text_lines_exact(self, tmp_path, command):
+        path = tmp_path / "batch.txt"
+        rows = ("[0,-1;(2,1),(3,1),(5,1)]", "[0,1;(4,2)]", "[0,2;(3,1),(3,1)]", "", "[1,0]")
+        path.write_text("\n".join(rows) + "\n")
+        assert invoke(command, "--input", str(path)) == (0, self.TEXT_LINES[command], "")
 
     def test_homology_batch_chern_zero_line(self, tmp_path):
         # c1 = 0 is an error for invariants but a valid homology row

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import random_seifert
 
 from seifert_torsion import ParseError, SeifertData, format_seifert, parse_seifert
@@ -91,3 +94,28 @@ class TestRoundTrip:
         for _ in range(100):
             d = random_seifert(rng)
             assert parse_seifert(format_seifert(d)) == d
+
+
+_INT = st.integers(-(10**9), 10**9)
+_DATA = st.builds(SeifertData, _INT, _INT, st.lists(st.tuples(_INT, _INT), max_size=4))
+# Unicode digits outside 0-9 for which str.isdigit() holds: '٣', '²', ...
+_NON_ASCII_DIGIT = st.characters(categories=("Nd", "No")).filter(
+    lambda c: c.isdigit() and not c.isascii()
+)
+
+
+class TestProperties:
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(_DATA, _NON_ASCII_DIGIT, st.integers(0, 9), st.integers(0, 11), st.booleans())
+    def test_round_trip_and_ascii_only_digits(self, d, digit, slot, at, replace):
+        text = format_seifert(d)
+        assert parse_seifert(text) == d
+        runs = list(re.finditer("[0-9]+", text))  # one per integer slot
+        run = runs[slot % len(runs)]
+        if replace:
+            text = text[: run.start()] + digit + text[run.end() :]
+        else:
+            pos = run.start() + at % (len(run.group()) + 1)
+            text = text[:pos] + digit + text[pos:]
+        with pytest.raises(ParseError):
+            parse_seifert(text)

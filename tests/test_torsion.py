@@ -16,6 +16,7 @@ from seifert_torsion import (
     KThetaParams,
     NegativeChernWarning,
     NonPositiveChern,
+    NumericWindowError,
     SeifertData,
     SingularPoint,
     UnsupportedWindow,
@@ -255,6 +256,24 @@ class TestTorsionPrefactor:
         for d in FIXTURES:
             for n in (1, 2):
                 assert volume_coefficient(d, n) == torsion_prefactor(d, n).volume_coefficient
+
+
+class TestDoubleRange:
+    BIG = SeifertData(0, 1, ((10**400 + 1, 1),))  # torsion order past the largest double
+
+    @pytest.mark.parametrize(
+        "func,args",
+        [
+            (torsion_prefactor, (DATA_T24, 500)),
+            (torsion_prefactor, (BIG, 1)),
+            (volume_coefficient, (BIG, 1)),
+            (scalar_torsion_trivial, (SeifertData(0, 0, ((10**200, 1), (10**200 + 1, -1))),)),
+        ],
+        ids=["prefactor-rank", "prefactor-radicand", "volume-coefficient", "scalar-torsion"],
+    )
+    def test_overflow_is_numeric_window_error(self, func, args):
+        with pytest.raises(NumericWindowError, match="outside the double range"):
+            func(*args)
 
 
 class TestIsotropyVolume:
