@@ -39,15 +39,7 @@ from .errors import (
 )
 from .homology import first_homology, moduli_from_homology, torsion_h2_order
 from .parsing import format_seifert, parse_seifert
-from .partition import (
-    PartitionInputs,
-    m_exponent,
-    partition_magnitude,
-    phase_factor,
-    z_partition_value,
-    zbar_component_magnitude,
-    zbar_partition_value,
-)
+from .partition import PartitionInputs, m_exponent, partition_values
 from .seifert import SeifertData, chern_number, validate_seifert
 from .torsion import (
     isotropy_volume,
@@ -179,38 +171,23 @@ def torsion_report(d: SeifertData, gauge_rank: int = 1) -> dict:
 
 
 def partition_report(
-    d: SeifertData,
-    gauge_rank: int,
-    level: int,
-    cs_values: tuple,
-    grav_phase=None,
+    d: SeifertData, gauge_rank: int, level: int, cs_values: tuple, grav_phase=None
 ) -> dict:
-    inputs = PartitionInputs(
-        data=d,
-        gauge_rank=gauge_rank,
-        level=level,
-        cs_values=cs_values,
-        grav_phase=grav_phase,
-    )
-    zbar = zbar_partition_value(inputs)
-    pf = phase_factor(d, gauge_rank)
-    classes = torsion_h2_order(d, gauge_rank)
-    component = zbar_component_magnitude(d, gauge_rank, level)
+    v = partition_values(PartitionInputs(d, gauge_rank, level, cs_values, grav_phase))
     report = {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "level": level,
-        "m_x": m_exponent(d, gauge_rank),
-        "classes": str(classes),
-        "phase_factor": {"re": pf.real, "im": pf.imag},
-        "component_magnitude": component,
-        "magnitude": partition_magnitude(inputs),
-        "zbar": {"re": zbar.real, "im": zbar.imag, "abs": abs(zbar)},
-        "coherent_bound": component * classes,
+        "m_x": v.m_x,
+        "classes": str(v.classes),
+        "phase_factor": {"re": v.phase_factor.real, "im": v.phase_factor.imag},
+        "component_magnitude": v.component_magnitude,
+        "magnitude": v.magnitude,
+        "zbar": {"re": v.zbar.real, "im": v.zbar.imag, "abs": abs(v.zbar)},
+        "coherent_bound": v.component_magnitude * v.classes,
     }
-    if grav_phase is not None:
-        z = z_partition_value(inputs)
-        report["z"] = {"re": z.real, "im": z.imag, "abs": abs(z)}
+    if v.z is not None:
+        report["z"] = {"re": v.z.real, "im": v.z.imag, "abs": abs(v.z)}
     return report
 
 
@@ -314,9 +291,13 @@ def _read_cs_file(path: str) -> tuple:
     else:
         values = stripped.split()
     try:
-        return tuple(float(v) for v in values)
+        cs = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"cs file holds a non-numeric entry: {exc}") from exc
+    for c in cs:
+        if not math.isfinite(c):
+            raise ValidationError(f"cs file holds a non-finite entry: {c}")
+    return cs
 
 
 def _json_block(report: dict) -> str:
@@ -455,6 +436,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # the message argparse gives for type=float
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seifert-torsion",
@@ -490,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Chern-Simons phases, one per flat-bundle class (JSON array "
         "or whitespace-separated decimals), in character order",
     )
-    p.add_argument("--grav-phase", type=float, default=None)
+    p.add_argument("--grav-phase", type=_finite_float, default=None)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(handler=_cmd_partition)
 

@@ -7,11 +7,15 @@
     digit  := '0' | '1' | ... | '9'      (ASCII only)
 
 Whitespace is allowed between tokens.  '[g,n]' and '[g,n;]' both denote an
-empty pair list.  parse_seifert checks the grammar only; run the result
-through validate_seifert before computing with it.
+empty pair list.  An integer with more digits than int() converts from text
+(sys.get_int_max_str_digits(), 4300 by default) is a ParseError.
+parse_seifert checks the grammar only; run the result through
+validate_seifert before computing with it.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import ParseError
 from .seifert import SeifertData
@@ -46,7 +50,11 @@ class _Scanner:
         if self.pos == digits:
             found = self.text[start] if start < len(self.text) else None
             raise ParseError(start, f"integer ({what})", found)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:
+            limit = f"integer ({what}) of at most {sys.get_int_max_str_digits()} digits"
+            raise ParseError(start, limit, f"{self.pos - digits} digits") from None
 
 
 def parse_seifert(text: str) -> SeifertData:

@@ -2,10 +2,11 @@
 
 The partition value is a sum over flat-bundle classes: each class P carries a
 stationary phase exp(i k cs_P) weighted by a common coefficient k^{m_X} K_X,
-where m_X = N (g - 1) and K_X = torsion_order^{-N/2}.  Two routes to the
-magnitude are provided (partition_magnitude and |zbar_partition_value|) and
-agree to floating-point accuracy; they differ only in where the 1/sqrt of the
-class count is carried.
+where m_X = N (g - 1) and K_X = torsion_order^{-N/2}.  partition_values makes
+one evaluation (one class count, one phase sum S = sum_P exp(i k cs_P), one
+eta phase), and the three public values are fields of it.  The magnitude keeps
+two formulas, k^{m_X} |S| / sqrt(class count) and |zbar|, which agree to
+floating-point accuracy because K_X = 1/sqrt(class count).
 
 cs_values must supply one Chern-Simons phase per flat-bundle class, in the
 lexicographic character order of enumerate_torsion_characters (N-fold
@@ -80,25 +81,6 @@ def _level_power(level: int, exponent: int) -> float:
     return float(Fraction(1, level ** (-exponent)))
 
 
-def _class_count(data: SeifertData, gauge_rank: int) -> int:
-    order = torsion_order_integer(data)
-    if order == 0:
-        raise ChernNumberZero()
-    return order**gauge_rank
-
-
-def _phase_sum(inputs: PartitionInputs) -> complex:
-    """sum_P exp(i k cs_P), with the class count enforced."""
-    d = validate_seifert(inputs.data)
-    classes = _class_count(d, inputs.gauge_rank)
-    if len(inputs.cs_values) != classes:
-        raise CsLengthMismatch(classes, len(inputs.cs_values))
-    k = float(inputs.level)
-    re = math.fsum(math.cos(k * c) for c in inputs.cs_values)
-    im = math.fsum(math.sin(k * c) for c in inputs.cs_values)
-    return complex(re, im)
-
-
 def zbar_component_magnitude(
     data: SeifertData, gauge_rank: int = 1, level: int = 1
 ) -> float:
@@ -109,15 +91,60 @@ def zbar_component_magnitude(
     return _level_power(level, m) * volume_coefficient(data, gauge_rank)
 
 
+@dataclass(frozen=True)
+class PartitionValues:
+    """Every partition quantity of one evaluation; z is None without grav_phase."""
+
+    classes: int
+    m_x: int
+    component_magnitude: float
+    phase_factor: complex
+    magnitude: float
+    zbar: complex
+    z: complex | None
+
+
+def partition_values(inputs: PartitionInputs) -> PartitionValues:
+    """Evaluate the datum once: one class count, one phase sum, one eta phase.
+
+    The class count is the closed-form torsion order to the N-th power,
+    which equals |Tors H1|^N because c1 != 0 here.  Raises ChernNumberZero,
+    then CsLengthMismatch, then NumericWindowError from the level power (or
+    from the gravitational phase, when pi N grav_phase overflows).
+    """
+    d = validate_seifert(inputs.data)
+    n = inputs.gauge_rank
+    order = torsion_order_integer(d)
+    if order == 0:
+        raise ChernNumberZero()
+    classes = order**n
+    if len(inputs.cs_values) != classes:
+        raise CsLengthMismatch(classes, len(inputs.cs_values))
+    k = float(inputs.level)
+    re = math.fsum(math.cos(k * c) for c in inputs.cs_values)
+    im = math.fsum(math.sin(k * c) for c in inputs.cs_values)
+    total = complex(re, im)
+    m = n * (d.genus - 1)
+    level_power = _level_power(inputs.level, m)
+    component = level_power * volume_coefficient(d, n)
+    pf = phase_factor(d, n)
+    z = None
+    if inputs.grav_phase is not None:
+        try:
+            grav = cmath.exp(1j * math.pi * n * inputs.grav_phase)
+        except ValueError:
+            raise NumericWindowError("angle pi N grav_phase is outside the double range") from None
+        z = component * grav * total
+    magnitude = level_power * abs(total) / math.sqrt(float(classes))
+    return PartitionValues(classes, m, component, pf, magnitude, component * pf * total, z)
+
+
 def zbar_partition_value(inputs: PartitionInputs) -> complex:
     """Partition value normalized by the symplectic volume of the moduli space.
 
     zbar = k^{m_X} K_X exp(i pi (N/4 - eta0/2)) sum_P exp(i k cs_P).
     """
-    d = validate_seifert(inputs.data)
-    total = _phase_sum(inputs)
-    scale = zbar_component_magnitude(d, inputs.gauge_rank, inputs.level)
-    return scale * phase_factor(d, inputs.gauge_rank) * total
+    return partition_values(inputs).zbar
 
 
 def z_partition_value(inputs: PartitionInputs) -> complex:
@@ -127,14 +154,8 @@ def z_partition_value(inputs: PartitionInputs) -> complex:
     magnitude as zbar_partition_value, different overall phase.
     """
     if inputs.grav_phase is None:
-        raise ValueError(
-            "grav_phase is required for the gravitationally normalized value"
-        )
-    d = validate_seifert(inputs.data)
-    total = _phase_sum(inputs)
-    scale = zbar_component_magnitude(d, inputs.gauge_rank, inputs.level)
-    grav = cmath.exp(1j * math.pi * inputs.gauge_rank * inputs.grav_phase)
-    return scale * grav * total
+        raise ValueError("grav_phase is required for the gravitationally normalized value")
+    return partition_values(inputs).z
 
 
 def partition_magnitude(inputs: PartitionInputs) -> float:
@@ -144,12 +165,4 @@ def partition_magnitude(inputs: PartitionInputs) -> float:
     bounded by k^{m_X} sqrt(class count), with equality exactly when all
     phases align.
     """
-    d = validate_seifert(inputs.data)
-    total = _phase_sum(inputs)
-    classes = _class_count(d, inputs.gauge_rank)
-    m = m_exponent(d, inputs.gauge_rank)
-    return (
-        _level_power(inputs.level, m)
-        * abs(total)
-        / math.sqrt(float(classes))
-    )
+    return partition_values(inputs).magnitude

@@ -92,16 +92,6 @@ class IntegerMatrix:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
-    def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        a, b = self.to_rows(), other.to_rows()
-        out = [
-            [sum(a[i][k] * b[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            for i in range(self.rows)
-        ]
-        return IntegerMatrix.from_rows(out)
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -127,11 +117,6 @@ class IntegerMatrix:
                 m[i][k] = 0
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
-
-    def __str__(self) -> str:
-        rows = self.to_rows()
-        width = max(len(str(e)) for e in self.entries)
-        return "\n".join(" ".join(f"{e:>{width}}" for e in r) for r in rows)
 
 
 def validate_seifert(data: SeifertData) -> SeifertData:

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from math import gcd
 
-from seifert_torsion import SeifertData, chern_number
+from seifert_torsion import IntegerMatrix, SeifertData, chern_number
 
 # the three standing fixtures: trivial torsion, positive genus, torsion 24
 DATA_UNIT = SeifertData(0, -1, ((2, 1), (3, 1), (5, 1)))
@@ -45,6 +45,19 @@ def random_coprime_pair(rng, max_alpha, max_beta):
         beta = rng.randint(1, max_beta)
         if gcd(alpha, beta) == 1:
             return alpha, beta
+
+
+def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """The integer matrix product a b, by the row-column definition."""
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch in matrix product")
+    x, y = a.to_rows(), b.to_rows()
+    return IntegerMatrix.from_rows(
+        [
+            [sum(x[i][k] * y[k][j] for k in range(a.cols)) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+    )
 
 
 def cofactor_det(rows) -> int:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from seifert_torsion import cli, homology
+from seifert_torsion import cli, homology, partition
 from seifert_torsion.errors import UnsupportedWindow
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,7 +57,7 @@ class TestGolden:
 
 
 class TestTextOutput:
-    """Text blocks pinned byte for byte."""
+    """Text blocks, and the partition JSON block, pinned byte for byte."""
 
     CASES = {
         "invariants-readme": (
@@ -153,10 +154,43 @@ class TestTextOutput:
         ids=["zbar-only", "grav-phase"],
     )
     def test_partition_block(self, tmp_path, extra, tail):
+        assert invoke(*self.partition_argv(tmp_path), *extra) == (0, self.PARTITION + tail, "")
+
+    @staticmethod
+    def partition_argv(tmp_path):
         path = tmp_path / "cs.txt"
         path.write_text(" ".join(str(0.1 * i) for i in range(24)))
-        argv = ("partition", "--data", "[0,2;(3,1),(3,1)]", "--cs-file", str(path), "--level", "3")
-        assert invoke(*argv, *extra) == (0, self.PARTITION + tail, "")
+        return ("partition", "--data", "[0,2;(3,1),(3,1)]", "--cs-file", str(path), "--level", "3")
+
+    PARTITION_JSON = {
+        "input": {"text": "[0,2;(3,1),(3,1)]", "genus": 0, "euler": 2, "pairs": [[3, 1], [3, 1]]},
+        "gauge_rank": 1,
+        "level": 3,
+        "m_x": -1,
+        "classes": "24",
+        "phase_factor": {"re": 0.9063077870366499, "im": 0.42261826174069944},
+        "component_magnitude": 0.06804138174397717,
+        "magnitude": 0.20148607261977433,
+        "zbar": {"re": 0.14814553247501344, "im": 0.136563313768507, "abs": 0.20148607261977428},
+        "coherent_bound": 1.632993161855452,
+    }
+
+    @pytest.mark.parametrize(
+        "extra,z",
+        [
+            ((), None),
+            (
+                ("--grav-phase", "0.25"),
+                {"re": 0.09250385952103628, "im": 0.1789962944684983, "abs": 0.2014860726197743},
+            ),
+        ],
+        ids=["zbar-only", "grav-phase"],
+    )
+    def test_partition_json(self, tmp_path, extra, z):
+        # json.dumps writes each float as its repr, so equal text means equal floats
+        expected = dict(self.PARTITION_JSON, **({"z": z} if z else {}))
+        argv = (*self.partition_argv(tmp_path), *extra, "--format", "json")
+        assert invoke(*argv) == (0, json.dumps(expected, indent=2) + "\n", "")
 
 
 class TestInvariantReport:
@@ -242,6 +276,36 @@ class TestNonAsciiDigits:
         assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
+class TestLongLiteral:
+    """An integer past int()'s digit limit is a parse error (exit 2), not a traceback."""
+
+    ONES = "1" * 5000
+    MESSAGE = "offset 6: expected integer (fiber order) of at most 4300 digits, found '5000 digits'"
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_data_is_parse_error(self):
+        datum = f"[0,1;({self.ONES},1)]"
+        assert invoke("homology", "--data", datum) == (2, "", f"error: {self.MESSAGE}\n")
+
+    def test_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"[1,1]\n[0,1;({self.ONES},1)]\n[0,2;(3,1),(3,1)]\n")
+        code, out, err = invoke("homology", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 3
+        assert rows[1]["error"] == {"type": "ParseError", "message": self.MESSAGE}
+        assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
+
+
 BIG = 10**400 + 1  # larger than the largest double
 
 
@@ -269,6 +333,13 @@ class TestDoubleRange:
         path = tmp_path / "cs.json"
         path.write_text("[0.0]")
         argv = ("partition", "--data", "[200,1]", "--level", "1000000", "--cs-file", str(path))
+        self.assert_exit_four(*invoke(*argv))
+
+    def test_grav_phase(self, tmp_path):
+        # pi * 1e308 overflows the angle of exp(i pi N grav_phase)
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        argv = ("partition", "--data", "[1,1]", "--cs-file", str(path), "--grav-phase", "1e308")
         self.assert_exit_four(*invoke(*argv))
 
     def test_batch_row_is_isolated(self, tmp_path):
@@ -300,6 +371,33 @@ class TestComputeOnce:
         code, out, _ = invoke(command, "--input", str(path), "--format", "json")
         assert code == 0 and len(out.splitlines()) == len(self.ROWS)
         assert len(calls) == len(self.ROWS) - 1
+
+    def test_partition_evaluates_once(self, monkeypatch, tmp_path):
+        # c1 != 0 here, so the class count needs no Smith normal form; one
+        # phase-sum pass is one fsum for the real part and one for the imaginary
+        calls = {"snf": 0, "eta": 0, "fsum": 0}
+        snf, eta, fsum = homology.smith_normal_form, partition.adiabatic_eta, math.fsum
+
+        def counting_snf(matrix):
+            calls["snf"] += 1
+            return snf(matrix)
+
+        def counting_eta(data, gauge_rank=1):
+            calls["eta"] += 1
+            return eta(data, gauge_rank)
+
+        def counting_fsum(values):
+            calls["fsum"] += 1
+            return fsum(values)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
+        monkeypatch.setattr(partition, "adiabatic_eta", counting_eta)
+        monkeypatch.setattr(math, "fsum", counting_fsum)
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps([0.0] * 24))
+        argv = ("partition", "--data", "[0,2;(3,1),(3,1)]", "--cs-file", str(path))
+        assert invoke(*argv, "--grav-phase", "0.5")[0] == 0
+        assert calls == {"snf": 0, "eta": 1, "fsum": 2}
 
 
 class TestDedekind:
@@ -385,6 +483,22 @@ class TestPartitionCommand:
             "partition", "--data", "[1,1]", "--cs-file", str(path)
         )
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["[NaN]", "[1e999]", "nan\n", "0.5 -inf"])
+    def test_non_finite_cs_entry(self, tmp_path, text):
+        path = tmp_path / "cs.txt"
+        path.write_text(text)
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cs file holds a non-finite entry: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
+    def test_non_finite_grav_phase(self, tmp_path, capsys, value):
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        argv = ("partition", "--data", "[1,1]", "--cs-file", str(path), f"--grav-phase={value}")
+        assert invoke(*argv) == (2, "", "")
+        assert f"argument --grav-phase: must be finite, got {value}\n" in capsys.readouterr().err
 
 
 class TestBatch:

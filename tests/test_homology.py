@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, random_seifert
+from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, matmul, random_seifert
 
 from seifert_torsion import (
     AbelianGroupDecomposition,
@@ -74,7 +74,7 @@ class TestSmithNormalForm:
         for trial in range(500):
             a = random_matrix(rng)
             snf = smith_normal_form(a)
-            assert (snf.u @ a @ snf.v) == snf.d
+            assert matmul(matmul(snf.u, a), snf.v) == snf.d
             assert abs(snf.u.det()) == 1
             assert abs(snf.v.det()) == 1
             assert_smith_shape(snf.diagonal())

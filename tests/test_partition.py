@@ -171,6 +171,14 @@ class TestMagnitudeEquality:
         )
         assert zbar_partition_value(inputs) == pytest.approx(expected, rel=1e-12)
 
+    def test_zbar_phase_uses_gauge_rank(self):
+        # one class, m_x = 0 and K_X = 1 at N = 2: zbar is the rank-2 phase factor
+        rank_two = phase_factor(DATA_GENUS1, 2)
+        assert zbar_partition_value(coherent_inputs(DATA_GENUS1, n=2)) == pytest.approx(
+            rank_two, abs=1e-15
+        )
+        assert abs(rank_two - phase_factor(DATA_GENUS1, 1)) > 0.1
+
     def test_z_needs_grav_phase(self):
         inputs = coherent_inputs(DATA_T24)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, random_seifert
+from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, matmul, random_seifert
 
 from seifert_torsion import (
     CoprimalityViolation,
@@ -155,13 +155,13 @@ class TestIntegerMatrix:
     def test_identity_and_product(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         eye = IntegerMatrix.identity(2)
-        assert (eye @ a) == a
-        assert (a @ eye) == a
+        assert matmul(eye, a) == a
+        assert matmul(a, eye) == a
 
     def test_product_values(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
         b = IntegerMatrix.from_rows([[0, 1], [1, 0]])
-        assert (a @ b).to_rows() == [[2, 1], [4, 3]]
+        assert matmul(a, b).to_rows() == [[2, 1], [4, 3]]
 
     def test_det_small_cases(self):
         assert IntegerMatrix.identity(3).det() == 1
