@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 parse or validation failure, 3 domain failure
 (for example c1 = 0 where a closed form needs c1 != 0), 4 numeric-window
-failure (a zeta kernel asked outside its window, or a float result outside
-the double range).  Exact rationals and potentially large exact integers
-appear in JSON output as strings; floating-point values stay JSON numbers.
+failure (a zeta kernel asked outside its window, a float result outside the
+double range, or a class count past 4300 digits).  Exact rationals and
+potentially large exact integers appear in JSON output as strings;
+floating-point values stay JSON numbers.
 
 Every output is rendered from the report dict alone.  A text block has one
 row per top-level report key, in report order.  The label is the key with
@@ -32,12 +33,13 @@ from .dedekind import (
     validate_dedekind_args,
 )
 from .errors import (
+    ChernZeroWarning,
     DomainError,
     NumericWindowError,
     SeifertError,
     ValidationError,
 )
-from .homology import first_homology, moduli_from_homology, torsion_h2_order
+from .homology import class_count, first_homology, moduli_from_homology
 from .parsing import format_seifert, parse_seifert
 from .partition import PartitionInputs, m_exponent, partition_values
 from .seifert import SeifertData, chern_number, validate_seifert
@@ -126,23 +128,16 @@ def invariant_report(d: SeifertData, gauge_rank: int = 1) -> dict:
 
 def homology_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     """Homology bundle; meaningful for every valid datum, c1 = 0 included."""
-    warns: list[str] = []
     h1 = first_homology(d)
     c1 = chern_number(d)
-    if c1 == 0:
-        moduli = None
-        classes = str(_collect_warnings(warns, torsion_h2_order, d, gauge_rank))
-    else:
-        moduli = _moduli_block(h1, d, gauge_rank)
-        classes = moduli["component_count"]
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "c1": str(c1),
         "homology": _homology_block(h1),
-        "torsion_classes": classes,
-        "moduli": moduli,
-        "warnings": warns,
+        "torsion_classes": str(class_count(h1.torsion_order(), gauge_rank)),
+        "moduli": _moduli_block(h1, d, gauge_rank) if c1 else None,
+        "warnings": [] if c1 else [str(ChernZeroWarning())],
     }
 
 
@@ -283,17 +278,20 @@ def _read_cs_file(path: str) -> tuple:
         return ()
     if stripped.startswith("["):
         try:
-            values = json.loads(stripped)
+            values = json.loads(stripped, parse_int=float)  # every JSON number a float
         except json.JSONDecodeError as exc:
             raise ValidationError(f"cs file is not valid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise ValidationError("cs file JSON must be an array of numbers")
+        for v in values:
+            if not isinstance(v, float):  # true, "1.5", null, an array or an object
+                raise ValidationError(f"cs file holds a non-numeric entry: {json.dumps(v)}")
+        cs = tuple(values)
     else:
-        values = stripped.split()
-    try:
-        cs = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"cs file holds a non-numeric entry: {exc}") from exc
+        try:
+            cs = tuple(float(v) for v in stripped.split())
+        except ValueError as exc:
+            raise ValidationError(f"cs file holds a non-numeric entry: {exc}") from exc
     for c in cs:
         if not math.isfinite(c):
             raise ValidationError(f"cs file holds a non-finite entry: {c}")

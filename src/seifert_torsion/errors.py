@@ -5,7 +5,8 @@ The hierarchy mirrors how the CLI maps failures to exit codes:
 * ValidationError   -> exit 2 (bad input data or unparsable text)
 * DomainError       -> exit 3 (valid data outside a formula's domain)
 * NumericWindowError-> exit 4 (zeta kernel asked outside its accuracy window,
-                       or a float result outside the double range)
+                       a float result outside the double range, or a class
+                       count past 4300 digits)
 """
 
 
@@ -107,8 +108,9 @@ class CsLengthMismatch(DomainError):
 
 
 class NumericWindowError(SeifertError):
-    """A zeta kernel was asked for a point outside its contract, or a float
-    result lies outside the double range."""
+    """A zeta kernel was asked for a point outside its contract, a float
+    result lies outside the double range, or a class count |Tors H1|^N has
+    more than 4300 digits."""
 
 
 class PoleAtOne(NumericWindowError):
@@ -149,6 +151,9 @@ class SeifertWarning(UserWarning):
 
 class ChernZeroWarning(SeifertWarning):
     """c1 = 0: the torsion-power identity is not asserted for this datum."""
+
+    def __init__(self, message="c1 = 0: torsion-power identity not asserted for this datum"):
+        super().__init__(message)
 
 
 class NegativeChernWarning(SeifertWarning):

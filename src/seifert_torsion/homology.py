@@ -3,9 +3,11 @@
 smith_normal_form is a deterministic elimination over the integers: pick the
 minimum-absolute-value nonzero entry of the working submatrix (ties broken by
 lowest (row, col)), move it to the pivot position, reduce its row and column
-Euclidean-style, and enforce the divisibility chain before moving on.  All
-row operations are mirrored on U and all column operations on V, so
-U * A * V = D holds exactly with U, V unimodular.
+Euclidean-style, and enforce the divisibility chain before moving on.  It
+runs on one block matrix [[A, I_rows], [I_cols, 0]]: row operations on its
+first `rows` rows carry U in the right block, column operations on its first
+`cols` columns carry V in the bottom block, and A becomes D, so U * A * V = D
+holds exactly with U, V unimodular.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import prod
 
-from .errors import CapExceeded, ChernNumberZero, ChernZeroWarning
+from .errors import CapExceeded, ChernNumberZero, ChernZeroWarning, NumericWindowError
 from .seifert import (
     IntegerMatrix,
     SeifertData,
@@ -72,46 +74,28 @@ class ModuliDescription:
     torsion_factors: tuple[int, ...]
 
 
-def _swap_rows(m, u, i, j):
-    m[i], m[j] = m[j], m[i]
-    u[i], u[j] = u[j], u[i]
+def _place_pivot(b, rows, cols, t) -> bool:
+    """Move the min-|entry| of the A-block b[t:rows][t:cols] to (t, t), made positive.
 
-
-def _swap_cols(m, v, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _negate_row(m, u, i):
-    m[i] = [-e for e in m[i]]
-    u[i] = [-e for e in u[i]]
-
-
-def _place_pivot(m, u, v, t) -> bool:
-    """Move the min-|entry| of the submatrix m[t:, t:] to (t, t), made positive.
-
-    Ties go to the smallest (row, col).  Returns False when the submatrix is
-    all zero.
+    Ties go to the smallest (row, col).  Returns False when that submatrix
+    is all zero.
     """
-    rows, cols = len(m), len(m[0])
-    best = None
-    best_abs = None
+    best = best_abs = None
     for i in range(t, rows):
         for j in range(t, cols):
-            val = m[i][j]
+            val = b[i][j]
             if val and (best is None or abs(val) < best_abs):
                 best, best_abs = (i, j), abs(val)
     if best is None:
         return False
     i, j = best
     if i != t:
-        _swap_rows(m, u, i, t)
+        b[i], b[t] = b[t], b[i]
     if j != t:
-        _swap_cols(m, v, j, t)
-    if m[t][t] < 0:
-        _negate_row(m, u, t)
+        for row in b:
+            row[j], row[t] = row[t], row[j]
+    if b[t][t] < 0:
+        b[t] = [-e for e in b[t]]
     return True
 
 
@@ -122,54 +106,42 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     entry divides the next.
     """
     rows, cols = a.rows, a.cols
-    m = a.to_rows()
-    u = IntegerMatrix.identity(rows).to_rows()
-    v = IntegerMatrix.identity(cols).to_rows()
+    b = [r + [1 if k == i else 0 for k in range(rows)] for i, r in enumerate(a.to_rows())]
+    b += [[1 if k == j else 0 for k in range(cols)] + [0] * rows for j in range(cols)]
 
     for t in range(min(rows, cols)):
-        if not _place_pivot(m, u, v, t):
+        if not _place_pivot(b, rows, cols, t):
             break
         while True:
-            pivot = m[t][t]
+            pivot = b[t][t]
             clean = True
             for i in range(t + 1, rows):
-                q = m[i][t] // pivot
+                q = b[i][t] // pivot
                 if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[t])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
-                if m[i][t]:
+                    b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+                if b[i][t]:
                     clean = False  # remainder smaller than the pivot survives
             for j in range(t + 1, cols):
-                q = m[t][j] // pivot
+                q = b[t][j] // pivot
                 if q:
-                    for row in m:
+                    for row in b:
                         row[j] -= q * row[t]
-                    for row in v:
-                        row[j] -= q * row[t]
-                if m[t][j]:
+                if b[t][j]:
                     clean = False
             if not clean:
-                _place_pivot(m, u, v, t)  # a strictly smaller pivot exists
+                _place_pivot(b, rows, cols, t)  # a strictly smaller pivot exists
                 continue
             # row and column t are clear; force pivot | every remaining entry
-            pivot = m[t][t]
-            bad = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    if any(m[i][j] % pivot for j in range(t + 1, cols))
-                ),
-                None,
-            )
+            pivot, rest = b[t][t], range(t + 1, cols)
+            bad = next((i for i in range(t + 1, rows) if any(b[i][j] % pivot for j in rest)), None)
             if bad is None:
                 break
-            m[t] = [x + y for x, y in zip(m[t], m[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            b[t] = [x + y for x, y in zip(b[t], b[bad])]
 
     return SmithDecomposition(
-        IntegerMatrix.from_rows(u),
-        IntegerMatrix.from_rows(m),
-        IntegerMatrix.from_rows(v),
+        IntegerMatrix.from_rows(r[cols:] for r in b[:rows]),
+        IntegerMatrix.from_rows(r[:cols] for r in b[:rows]),
+        IntegerMatrix.from_rows(r[:cols] for r in b[rows:]),
     )
 
 
@@ -188,23 +160,35 @@ def first_homology(data: SeifertData) -> AbelianGroupDecomposition:
     return AbelianGroupDecomposition(2 * d.genus + free, factors)
 
 
+_COUNT_LIMIT = 10**4300  # the smallest count past Python's default int/str digit limit
+
+
+def class_count(order: int, gauge_rank: int) -> int:
+    """order ** N, the number of flat-bundle classes, or NumericWindowError past 4300 digits.
+
+    order**N >= 2**((bits(order) - 1) N) refuses a huge N before any power is taken.
+    """
+    if (order.bit_length() - 1) * gauge_rank < _COUNT_LIMIT.bit_length():
+        count = order**gauge_rank
+        if count < _COUNT_LIMIT:
+            return count
+    raise NumericWindowError(f"class count |Tors H1|^{gauge_rank} has more than 4300 digits")
+
+
 def torsion_h2_order(data: SeifertData, gauge_rank: int = 1) -> int:
     """Order of the torsion classes of rank-N flat bundles: |Tors H1| ** N.
 
     When c1 = 0 the identity behind this power law is not asserted; the
-    value is still returned, with a ChernZeroWarning.
+    value is still returned, with a ChernZeroWarning.  Raises
+    NumericWindowError past 4300 digits (see class_count).
     """
     d = validate_seifert(data)
     if gauge_rank < 1:
         raise ValueError(f"gauge rank must be >= 1, got {gauge_rank}")
-    order = first_homology(d).torsion_order()
+    count = class_count(first_homology(d).torsion_order(), gauge_rank)
     if chern_number(d) == 0:
-        warnings.warn(
-            "c1 = 0: torsion-power identity not asserted for this datum",
-            ChernZeroWarning,
-            stacklevel=2,
-        )
-    return order**gauge_rank
+        warnings.warn(ChernZeroWarning(), stacklevel=2)
+    return count
 
 
 def moduli_description(data: SeifertData, gauge_rank: int = 1) -> ModuliDescription:
@@ -226,12 +210,11 @@ def moduli_from_homology(
     h1: AbelianGroupDecomposition, genus: int, gauge_rank: int
 ) -> ModuliDescription:
     """The moduli_description of a c1 != 0 datum of this genus, from its H1."""
-    factors = tuple(sorted(h1.invariant_factors * gauge_rank))
-    return ModuliDescription(
-        component_count=h1.torsion_order() ** gauge_rank,
+    return ModuliDescription(  # the count first: it bounds N before N copies of the factors
+        component_count=class_count(h1.torsion_order(), gauge_rank),
         component_dimension=2 * genus * gauge_rank,
         gauge_rank=gauge_rank,
-        torsion_factors=factors,
+        torsion_factors=tuple(sorted(h1.invariant_factors * gauge_rank)),
     )
 
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .dedekind import adiabatic_eta
 from .errors import ChernNumberZero, CsLengthMismatch, NumericWindowError
+from .homology import class_count
 from .seifert import SeifertData, torsion_order_integer, validate_seifert
 from .torsion import volume_coefficient
 
@@ -72,13 +73,19 @@ def phase_factor(data: SeifertData, gauge_rank: int = 1) -> complex:
 
 
 def _level_power(level: int, exponent: int) -> float:
-    """k^m with the negative-exponent case kept exact until the division."""
-    if exponent >= 0:
+    """k^m as a float, exact until the last conversion.
+
+    k^|m| >= 2^bits, so bits >= 1024 overflows at once and bits >= 1075 gives 0.0.
+    """
+    bits = (level.bit_length() - 1) * abs(exponent)
+    if exponent < 0:
+        return 0.0 if bits >= 1075 else float(Fraction(1, level ** (-exponent)))
+    if bits < 1024:
         try:
             return float(level**exponent)
         except OverflowError:
-            raise NumericWindowError("level power k^m_X is outside the double range") from None
-    return float(Fraction(1, level ** (-exponent)))
+            pass
+    raise NumericWindowError("level power k^m_X is outside the double range")
 
 
 def zbar_component_magnitude(
@@ -109,15 +116,16 @@ def partition_values(inputs: PartitionInputs) -> PartitionValues:
 
     The class count is the closed-form torsion order to the N-th power,
     which equals |Tors H1|^N because c1 != 0 here.  Raises ChernNumberZero,
-    then CsLengthMismatch, then NumericWindowError from the level power (or
-    from the gravitational phase, when pi N grav_phase overflows).
+    NumericWindowError past 4300 class-count digits, CsLengthMismatch, then
+    NumericWindowError from the level power (or from the gravitational
+    phase, when pi N grav_phase overflows), in this order.
     """
     d = validate_seifert(inputs.data)
     n = inputs.gauge_rank
     order = torsion_order_integer(d)
     if order == 0:
         raise ChernNumberZero()
-    classes = order**n
+    classes = class_count(order, n)
     if len(inputs.cs_values) != classes:
         raise CsLengthMismatch(classes, len(inputs.cs_values))
     k = float(inputs.level)

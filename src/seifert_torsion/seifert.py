@@ -4,7 +4,9 @@ A Seifert datum [g, n; (a1, b1), ..., (aM, bM)] describes a closed oriented
 three-manifold fibered in circles over a genus-g surface, with Euler term n
 and M exceptional fibers of coprime type (a_j, b_j).  Everything downstream
 (homology, eta invariant, torsion, partition magnitudes) is derived from
-these integers alone.
+these integers alone.  One integer closed form carries c1 and the torsion
+order: s = c1 * prod(alpha) = n prod(alpha) + sum_j beta_j prod_{i != j} alpha_i,
+with chern_number = s / prod(alpha) and torsion_order_integer = |s|.
 """
 
 from __future__ import annotations
@@ -136,12 +138,16 @@ def validate_seifert(data: SeifertData) -> SeifertData:
     return data
 
 
+def _scaled_chern(d: SeifertData) -> tuple[int, int]:
+    """(s, prod(alpha)) with s = c1 * prod(alpha), an integer."""
+    p = d.alpha_product
+    return d.euler * p + sum(beta * (p // alpha) for alpha, beta in d.pairs), p
+
+
 def chern_number(data: SeifertData) -> Fraction:
     """Orbifold first Chern number c1 = n + sum_j beta_j / alpha_j."""
-    d = validate_seifert(data)
-    return Fraction(d.euler) + sum(
-        (Fraction(b, a) for a, b in d.pairs), Fraction(0)
-    )
+    s, p = _scaled_chern(validate_seifert(data))
+    return Fraction(s, p)
 
 
 def torsion_order_integer(data: SeifertData) -> int:
@@ -150,11 +156,7 @@ def torsion_order_integer(data: SeifertData) -> int:
     Equals |c1| * prod(alpha), a nonnegative integer; it is the order of the
     torsion subgroup of H1 whenever c1 != 0 (and 0 exactly when c1 = 0).
     """
-    d = validate_seifert(data)
-    total = d.euler * d.alpha_product
-    for j, (alpha, beta) in enumerate(d.pairs):
-        total += beta * (d.alpha_product // alpha)
-    return abs(total)
+    return abs(_scaled_chern(validate_seifert(data))[0])
 
 
 def relation_matrix(data: SeifertData) -> IntegerMatrix:

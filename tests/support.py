@@ -1,8 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles deliberately use different algorithms from the library:
-cofactor expansion instead of fraction-free elimination, Fraction sawtooth
-summation instead of integer summation, bracketed partial series instead of
+cofactor expansion instead of fraction-free elimination, Fraction sums
+instead of one integer sum over prod(alpha), Fraction sawtooth summation
+instead of integer summation, bracketed partial series instead of
 Euler-Maclaurin.
 """
 
@@ -37,6 +38,11 @@ def random_seifert(rng, max_genus=3, max_fibers=5, max_alpha=50, nonzero_chern=F
         d = SeifertData(genus, euler, tuple(pairs))
         if not nonzero_chern or chern_number(d) != 0:
             return d
+
+
+def chern_oracle(d: SeifertData) -> Fraction:
+    """c1 = n + sum_j beta_j / alpha_j, summed term by term in Fraction."""
+    return sum((Fraction(b, a) for a, b in d.pairs), Fraction(d.euler))
 
 
 def random_coprime_pair(rng, max_alpha, max_beta):

@@ -306,6 +306,37 @@ class TestLongLiteral:
         assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
 
 
+class TestClassCountDigits:
+    """A class count |Tors H1|^N past 4300 digits exits 4 with a one-line message."""
+
+    MESSAGE = "class count |Tors H1|^4000 has more than 4300 digits"
+
+    def test_data_exits_four(self):
+        argv = ("homology", "--data", "[0,2;(3,1),(3,1)]", "--gauge-rank", "4000")
+        assert invoke(*argv) == (4, "", f"error: {self.MESSAGE}\n")
+
+    def test_huge_rank_answers_at_once(self, tmp_path):
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        rank = ("--gauge-rank", "1000000000")
+        for argv in (
+            ("homology", "--data", "[0,-1;(2,1),(4,1),(4,1)]", *rank),
+            ("partition", "--data", "[0,2;(3,1),(3,1)]", "--cs-file", str(path), *rank),
+        ):
+            code, out, err = invoke(*argv)
+            assert (code, out) == (4, "") and err.endswith(" has more than 4300 digits\n")
+
+    def test_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text("[0,2;(3,1),(3,1)]\n[1,1]\n")
+        argv = ("homology", "--input", str(path), "--gauge-rank", "4000", "--format", "json")
+        code, out, err = invoke(*argv)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 2
+        assert rows[0]["error"] == {"type": "NumericWindowError", "message": self.MESSAGE}
+        assert rows[1]["torsion_classes"] == "1"
+
+
 BIG = 10**400 + 1  # larger than the largest double
 
 
@@ -333,6 +364,13 @@ class TestDoubleRange:
         path = tmp_path / "cs.json"
         path.write_text("[0.0]")
         argv = ("partition", "--data", "[200,1]", "--level", "1000000", "--cs-file", str(path))
+        self.assert_exit_four(*invoke(*argv))
+
+    def test_huge_level_power_answers_at_once(self, tmp_path):
+        # m_X = 1999999 at k = 10^6: refused from the bit length, not by taking k^m_X
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        argv = ("partition", "--data", "[2000000,1]", "--level", "1000000", "--cs-file", str(path))
         self.assert_exit_four(*invoke(*argv))
 
     def test_grav_phase(self, tmp_path):
@@ -371,6 +409,22 @@ class TestComputeOnce:
         code, out, _ = invoke(command, "--input", str(path), "--format", "json")
         assert code == 0 and len(out.splitlines()) == len(self.ROWS)
         assert len(calls) == len(self.ROWS) - 1
+
+    def test_chern_zero_homology_row_one_smith_normal_form(self, monkeypatch):
+        # the torsion classes and the warning come from the report's one H1
+        calls = []
+        snf = homology.smith_normal_form
+
+        def counting_snf(matrix):
+            calls.append(matrix)
+            return snf(matrix)
+
+        monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
+        code, out, _ = invoke("homology", "--data", "[0,-1;(2,1),(4,1),(4,1)]", "--format", "json")
+        report = json.loads(out)
+        assert code == 0 and len(calls) == 1
+        assert report["torsion_classes"] == "2" and report["moduli"] is None
+        assert report["warnings"] == ["c1 = 0: torsion-power identity not asserted for this datum"]
 
     def test_partition_evaluates_once(self, monkeypatch, tmp_path):
         # c1 != 0 here, so the class count needs no Smith normal form; one
@@ -491,6 +545,21 @@ class TestPartitionCommand:
         code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: cs file holds a non-finite entry: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "text, entry", [("[true]", "true"), ('["1.5"]', '"1.5"'), ("[0.5, null]", "null")]
+    )
+    def test_non_number_json_entry(self, tmp_path, text, entry):
+        path = tmp_path / "cs.json"
+        path.write_text(text)
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        assert (code, out, err) == (2, "", f"error: cs file holds a non-numeric entry: {entry}\n")
+
+    def test_json_integer_past_double_range(self, tmp_path):
+        path = tmp_path / "cs.json"
+        path.write_text(f"[{10**400}]")
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        assert (code, out, err) == (2, "", "error: cs file holds a non-finite entry: inf\n")
 
     @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1e999"])
     def test_non_finite_grav_phase(self, tmp_path, capsys, value):

@@ -13,6 +13,7 @@ from seifert_torsion import (
     ChernNumberZero,
     ChernZeroWarning,
     IntegerMatrix,
+    NumericWindowError,
     SeifertData,
     chern_number,
     enumerate_torsion_characters,
@@ -23,6 +24,7 @@ from seifert_torsion import (
     torsion_h2_order,
     torsion_order_integer,
 )
+from seifert_torsion.homology import class_count
 
 
 def random_matrix(rng, max_dim=6, max_entry=99):
@@ -102,6 +104,54 @@ class TestSmithNormalForm:
             assert product == abs(a.det())
 
 
+# (A, U, D, V) with U A V = D, pinned entry for entry
+PINNED_DECOMPOSITIONS = {
+    "wide": (
+        [[4, 6, -2, 9], [3, -5, 7, 1]],
+        [[0, 1], [-1, 9]],
+        [[1, 0, 0, 0], [0, 1, 0, 0]],
+        [[0, -5, 93, 23], [0, -1, 19, 4], [0, 1, -18, -5], [1, 3, -58, -14]],
+    ),
+    "tall": (
+        [[6, 4], [-9, 2], [15, 7], [3, -8]],
+        [[0, 1, 0, 0], [-2, 2, 1, 0], [31, -6, -16, 0], [13, -1, -6, 1]],
+        [[1, 0], [0, 3], [0, 0], [0, 0]],
+        [[1, -2], [5, -9]],
+    ),
+    "square": (
+        [[6, 4, 7], [-3, 9, 2], [5, 8, -1]],
+        [[0, 0, -1], [1, 16, 39], [4, 63, 154]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 605]],
+        [[0, -3, 460], [0, 1, -153], [1, -7, 1076]],
+    ),
+    "zero-row": (
+        [[0, 0, 0], [4, 6, 2], [1, -3, 5]],
+        [[0, 0, 1], [0, 1, -4], [1, 0, 0]],
+        [[1, 0, 0], [0, 18, 0], [0, 0, 0]],
+        [[1, 3, -2], [0, 1, 1], [0, 0, 1]],
+    ),
+    "rechain": (
+        [[2, 0], [0, 3]],
+        [[1, 1], [3, 2]],
+        [[1, 0], [0, 6]],
+        [[-1, 3], [1, -2]],
+    ),
+    "chern-zero-relations": (  # relation_matrix of [0,0;(2,1),(2,-1)]
+        [[2, 0, 1], [0, 2, -1], [1, 1, 0]],
+        [[1, 0, 0], [0, 0, 1], [1, 1, -2]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 1, -1], [1, 0, -2]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DECOMPOSITIONS)
+def test_pinned_decomposition(name):
+    a, u, d, v = PINNED_DECOMPOSITIONS[name]
+    snf = smith_normal_form(IntegerMatrix.from_rows(a))
+    assert (snf.u.to_rows(), snf.d.to_rows(), snf.v.to_rows()) == (u, d, v)
+
+
 class TestFirstHomology:
     def test_unit_fixture_trivial(self):
         h = first_homology(DATA_UNIT)
@@ -164,6 +214,29 @@ class TestTorsionClasses:
     def test_gauge_rank_validated(self):
         with pytest.raises(ValueError):
             torsion_h2_order(DATA_T24, 0)
+
+    def test_count_past_4300_digits(self):
+        with pytest.raises(NumericWindowError, match=r"\^4000 has more than 4300 digits"):
+            torsion_h2_order(DATA_T24, 4000)
+        with pytest.raises(NumericWindowError):
+            moduli_description(DATA_T24, 10**9)
+
+
+class TestClassCount:
+    def test_power(self):
+        assert class_count(24, 2) == 576
+        assert class_count(1, 10**9) == 1
+
+    def test_digit_boundary(self):
+        assert class_count(10, 4299) == 10**4299  # 4300 digits
+        with pytest.raises(NumericWindowError):
+            class_count(10, 4300)
+        with pytest.raises(NumericWindowError):
+            class_count(10**4300, 1)
+
+    def test_huge_rank_refused_before_the_power(self):
+        with pytest.raises(NumericWindowError):
+            class_count(2, 10**18)
 
 
 class TestModuliDescription:

@@ -13,6 +13,7 @@ from support import DATA_GENUS1, DATA_T24, DATA_UNIT, random_seifert
 from seifert_torsion import (
     ChernNumberZero,
     CsLengthMismatch,
+    NumericWindowError,
     PartitionInputs,
     SeifertData,
     adiabatic_eta,
@@ -24,6 +25,7 @@ from seifert_torsion import (
     zbar_component_magnitude,
     zbar_partition_value,
 )
+from seifert_torsion.partition import _level_power
 
 
 class TestMExponent:
@@ -84,6 +86,25 @@ class TestComponentMagnitude:
     def test_level_validated(self):
         with pytest.raises(ValueError):
             zbar_component_magnitude(DATA_T24, 1, 0)
+
+
+class TestLevelPower:
+    def test_overflow_boundary(self):
+        assert _level_power(2, 1023) == 2.0**1023
+        with pytest.raises(NumericWindowError):
+            _level_power(2, 1024)
+        with pytest.raises(NumericWindowError):
+            _level_power(10**6, 2 * 10**6)  # refused from the bit length alone
+
+    def test_underflow_boundary(self):
+        assert _level_power(2, -1074) == 5e-324
+        assert _level_power(2, -1075) == 0.0
+        assert _level_power(10**6, -(2 * 10**6)) == 0.0
+
+    def test_exact_below_the_bounds(self):
+        assert _level_power(3, 5) == 243.0
+        assert _level_power(3, -5) == 1 / 243
+        assert _level_power(1, -(10**9)) == 1.0
 
 
 def coherent_inputs(d, n=1, k=1, grav=None):

@@ -6,7 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, matmul, random_seifert
+from support import (
+    DATA_GENUS1,
+    DATA_T24,
+    DATA_UNIT,
+    chern_oracle,
+    cofactor_det,
+    matmul,
+    random_seifert,
+)
 
 from seifert_torsion import (
     CoprimalityViolation,
@@ -67,6 +75,12 @@ class TestChernNumber:
         assert chern_number(SeifertData(1, 0, ())) == 0
         assert chern_number(SeifertData(0, 0, ((2, 1), (2, -1)))) == 0
 
+    def test_against_fraction_sum_oracle(self):
+        rng = random.Random(10)
+        for _ in range(300):
+            d = random_seifert(rng, max_fibers=8, max_alpha=rng.choice((3, 50, 10**6)))
+            assert chern_number(d) == chern_oracle(d)
+
     def test_pair_permutation_invariance(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -102,7 +116,7 @@ class TestTorsionOrder:
         rng = random.Random(13)
         for _ in range(200):
             d = random_seifert(rng)
-            expected = abs(chern_number(d) * d.alpha_product)
+            expected = abs(chern_oracle(d) * d.alpha_product)
             assert expected.denominator == 1
             assert torsion_order_integer(d) == expected
 
