@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 parse or validation failure, 3 domain failure
 (for example c1 = 0 where a closed form needs c1 != 0), 4 numeric-window
 failure (a zeta kernel asked outside its window, a float result outside the
-double range, or a class count past 4300 digits).  Exact rationals and
-potentially large exact integers appear in JSON output as strings;
-floating-point values stay JSON numbers.
+double range, or a class count or other exact value past 4300 digits).
+Exact rationals and potentially large exact integers appear in JSON output
+as strings, rendered by _exact; floating-point values stay JSON numbers.
 
 Every output is rendered from the report dict alone.  A text block has one
 row per top-level report key, in report order.  The label is the key with
@@ -54,6 +54,7 @@ from .torsion import (
 from .zetafunc import hurwitz_zeta, hurwitz_zeta_deriv0, riemann_zeta
 
 _SELFTEST_DATA = ("[0,-1;(2,1),(3,1),(5,1)]", "[1,1]", "[0,2;(3,1),(3,1)]")
+_DIGIT_LIMIT = 10**4300  # the smallest integer past Python's default int/str digit limit
 
 
 def _collect_warnings(sink: list, func, *args, **kwargs):
@@ -69,6 +70,13 @@ def _parse_and_validate(text: str) -> SeifertData:
     return validate_seifert(parse_seifert(text))
 
 
+def _exact(value, name: str) -> str:
+    """str() of an exact int or Fraction, or NumericWindowError past 4300 digits."""
+    if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
+        raise NumericWindowError(f"{name} has more than 4300 digits")
+    return str(value)
+
+
 def _input_block(d: SeifertData) -> dict:
     return {
         "text": format_seifert(d),
@@ -79,28 +87,30 @@ def _input_block(d: SeifertData) -> dict:
 
 
 def _homology_block(h1) -> dict:
-    return {"rank": h1.rank, "invariant_factors": [str(f) for f in h1.invariant_factors]}
+    factors = [_exact(f, "invariant factor") for f in h1.invariant_factors]
+    return {"rank": h1.rank, "invariant_factors": factors}
 
 
 def _moduli_block(h1, d: SeifertData, gauge_rank: int) -> dict:
     m = moduli_from_homology(h1, d.genus, gauge_rank)
     return {
-        "component_count": str(m.component_count),
+        "component_count": _exact(m.component_count, "component count"),
         "component_dimension": m.component_dimension,
-        "torsion_factors": [str(f) for f in m.torsion_factors],
+        "torsion_factors": [_exact(f, "invariant factor") for f in m.torsion_factors],
     }
 
 
 def _scalar_torsion_block(d: SeifertData, tr) -> dict:
-    symbolic = f"(2π)^{2 - 2 * d.genus}/{d.alpha_product}"
+    euler_char = _exact(2 - 2 * d.genus, "base Euler characteristic")
+    symbolic = f"(2π)^{euler_char}/{_exact(d.alpha_product, 'alpha product')}"
     return {"value": tr.scalar_torsion, "symbolic": symbolic}
 
 
 def _symplectic_volume_block(tr) -> dict:
     return {
         "value": tr.symplectic_volume,
-        "radicand": str(tr.radicand),
-        "exponent": str(Fraction(tr.gauge_rank, 2)),
+        "radicand": _exact(tr.radicand, "torsion order"),
+        "exponent": _exact(Fraction(tr.gauge_rank, 2), "volume exponent"),
     }
 
 
@@ -112,10 +122,10 @@ def invariant_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
-        "c1": str(chern_number(d)),
-        "torsion_order": str(tr.radicand),
+        "c1": _exact(chern_number(d), "c1"),
+        "torsion_order": _exact(tr.radicand, "torsion order"),
         "homology": _homology_block(h1),
-        "eta0": str(adiabatic_eta(d, gauge_rank)),
+        "eta0": _exact(adiabatic_eta(d, gauge_rank), "eta0"),
         "m_x": m_exponent(d, gauge_rank),
         "scalar_torsion": _scalar_torsion_block(d, tr),
         "prefactor": tr.prefactor,
@@ -133,9 +143,9 @@ def homology_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
-        "c1": str(c1),
+        "c1": _exact(c1, "c1"),
         "homology": _homology_block(h1),
-        "torsion_classes": str(class_count(h1.torsion_order(), gauge_rank)),
+        "torsion_classes": _exact(class_count(h1.torsion_order(), gauge_rank), "class count"),
         "moduli": _moduli_block(h1, d, gauge_rank) if c1 else None,
         "warnings": [] if c1 else [str(ChernZeroWarning())],
     }
@@ -150,11 +160,11 @@ def torsion_report(d: SeifertData, gauge_rank: int = 1) -> dict:
     iso = None
     if c1 > 0:
         iv = isotropy_volume(d)
-        iso = {"value": iv.value, "radicand": str(iv.radicand)}
+        iso = {"value": iv.value, "radicand": _exact(iv.radicand, "c1")}
     return {
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
-        "c1": str(c1),
+        "c1": _exact(c1, "c1"),
         "scalar_torsion": _scalar_torsion_block(d, tr),
         "k0_deriv0": {"numeric": deriv.numeric, "closed_form": deriv.closed_form},
         "prefactor": tr.prefactor,
@@ -174,7 +184,7 @@ def partition_report(
         "gauge_rank": gauge_rank,
         "level": level,
         "m_x": v.m_x,
-        "classes": str(v.classes),
+        "classes": _exact(v.classes, "class count"),
         "phase_factor": {"re": v.phase_factor.real, "im": v.phase_factor.imag},
         "component_magnitude": v.component_magnitude,
         "magnitude": v.magnitude,
@@ -193,7 +203,7 @@ def dedekind_report(alpha: int, beta: int) -> dict:
     return {
         "alpha": alpha,
         "beta": beta,
-        "exact": str(exact),
+        "exact": _exact(exact, "Dedekind sum"),
         "float": approx,
         "difference": abs(float(exact) - approx),
     }

@@ -6,7 +6,7 @@ The hierarchy mirrors how the CLI maps failures to exit codes:
 * DomainError       -> exit 3 (valid data outside a formula's domain)
 * NumericWindowError-> exit 4 (zeta kernel asked outside its accuracy window,
                        a float result outside the double range, or a class
-                       count past 4300 digits)
+                       count or other exact report value past 4300 digits)
 """
 
 
@@ -109,8 +109,8 @@ class CsLengthMismatch(DomainError):
 
 class NumericWindowError(SeifertError):
     """A zeta kernel was asked for a point outside its contract, a float
-    result lies outside the double range, or a class count |Tors H1|^N has
-    more than 4300 digits."""
+    result lies outside the double range, or a class count |Tors H1|^N or
+    another exact report value has more than 4300 digits."""
 
 
 class PoleAtOne(NumericWindowError):

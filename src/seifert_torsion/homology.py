@@ -1,5 +1,11 @@
 """Integer Smith normal form and the homology it computes.
 
+first_homology takes one of two routes on the relation matrix A.  When
+D = |det A| != 0 (c1 != 0), D Z^n lies in the image of A and _factors_mod
+eliminates mod D without U or V (H. Cohen, GTM 138, 2.4); D is the Bareiss
+IntegerMatrix.det, never the closed-form torsion order, which |Tors H1| thus
+checks independently.  When D = 0 (c1 = 0), smith_normal_form runs on A.
+
 smith_normal_form is a deterministic elimination over the integers: pick the
 minimum-absolute-value nonzero entry of the working submatrix (ties broken by
 lowest (row, col)), move it to the pivot position, reduce its row and column
@@ -15,7 +21,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import product as _cartesian
-from math import prod
+from math import gcd, prod
 
 from .errors import CapExceeded, ChernNumberZero, ChernZeroWarning, NumericWindowError
 from .seifert import (
@@ -145,19 +151,73 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     )
 
 
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, s, u) with s x + u y = g = gcd(x, y), for x >= 0, y > 0; (x, 1, 0) when x | y."""
+    if x and not y % x:
+        return x, 1, 0
+    g = gcd(x, y)
+    s = pow(x // g, -1, y // g)
+    return g, s, (g - s * x) // y
+
+
+def _factors_mod(rows: list[list[int]], det: int) -> tuple[int, ...]:
+    """Invariant factors > 1 of coker A for a square A with |det A| = det > 0.
+
+    Unimodular 2x2 extended-gcd row steps, then column steps, clear column t
+    and row t until both stay clear, with every entry kept in [0, det); each
+    pivot gives gcd(pivot, det).  A pairwise gcd/lcm pass makes the chain.
+    """
+    n = len(rows)
+    b = [[e % det for e in r] for r in rows]
+    pivots = []
+    for t in range(n):
+        clean = False
+        while not clean:
+            for i in range(t + 1, n):
+                if b[i][t]:
+                    bt, bi = b[t], b[i]
+                    g, s, u = _xgcd(bt[t], bi[t])
+                    p, r = bt[t] // g, bi[t] // g
+                    if u:  # else a plain quotient step: row t stays
+                        b[t] = [(s * e + u * f) % det for e, f in zip(bt, bi)]
+                    b[i] = [(p * f - r * e) % det for e, f in zip(bt, bi)]
+            clean = True  # column t is clear below the pivot
+            for j in range(t + 1, n):
+                x, y = b[t][t], b[t][j]
+                if not y:
+                    continue
+                g, s, u = _xgcd(x, y)
+                if clean and not u:
+                    b[t][j] = 0  # the quotient column step changes row t only
+                    continue
+                p, r, clean = x // g, y // g, False
+                for row in b[t:]:
+                    e, f = row[t], row[j]
+                    row[t], row[j] = (s * e + u * f) % det, (p * f - r * e) % det
+        pivots.append(gcd(b[t][t], det))
+    f = [e for e in pivots if e > 1]
+    for i in range(len(f)):
+        for j in range(i + 1, len(f)):
+            g = gcd(f[i], f[j])
+            f[i], f[j] = g, f[i] // g * f[j]
+    return tuple(e for e in f if e > 1)
+
+
 def first_homology(data: SeifertData) -> AbelianGroupDecomposition:
     """H1 as Z^rank plus cyclic factors, from the abelianized relations.
 
     The genus generators contribute Z^{2g} directly; the cokernel of the
-    relation matrix contributes the rest.  rank = 2g exactly when c1 != 0,
-    and 2g + 1 when c1 = 0.
+    relation matrix A contributes the rest.  When det A != 0 (c1 != 0) its
+    factors come from the elimination mod |det A| and rank = 2g; when
+    det A = 0 (c1 = 0) they come from smith_normal_form and rank = 2g + 1.
     """
     d = validate_seifert(data)
-    snf = smith_normal_form(relation_matrix(d))
-    diag = snf.diagonal()
-    free = sum(1 for e in diag if e == 0)
-    factors = tuple(e for e in diag if e > 1)
-    return AbelianGroupDecomposition(2 * d.genus + free, factors)
+    a = relation_matrix(d)
+    det = abs(a.det())
+    if det:
+        return AbelianGroupDecomposition(2 * d.genus, _factors_mod(a.to_rows(), det))
+    factors = tuple(e for e in smith_normal_form(a).diagonal() if e > 1)
+    return AbelianGroupDecomposition(2 * d.genus + 1, factors)  # rank A = n - 1 (rows alpha_j e_j)
 
 
 _COUNT_LIMIT = 10**4300  # the smallest count past Python's default int/str digit limit

@@ -6,12 +6,13 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from seifert_torsion import cli, homology, partition
-from seifert_torsion.errors import UnsupportedWindow
+from seifert_torsion.errors import NumericWindowError, UnsupportedWindow
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -276,21 +277,29 @@ class TestNonAsciiDigits:
         assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
-)
+@pytest.fixture
+def default_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+digit_limit = [
+    pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+    ),
+    pytest.mark.usefixtures("default_digit_limit"),
+]
+
+
 class TestLongLiteral:
     """An integer past int()'s digit limit is a parse error (exit 2), not a traceback."""
 
+    pytestmark = digit_limit
+
     ONES = "1" * 5000
     MESSAGE = "offset 6: expected integer (fiber order) of at most 4300 digits, found '5000 digits'"
-
-    @pytest.fixture(autouse=True)
-    def default_limit(self):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(4300)
-        yield
-        sys.set_int_max_str_digits(limit)
 
     def test_data_is_parse_error(self):
         datum = f"[0,1;({self.ONES},1)]"
@@ -304,6 +313,37 @@ class TestLongLiteral:
         assert code == 0 and err == "" and len(rows) == 3
         assert rows[1]["error"] == {"type": "ParseError", "message": self.MESSAGE}
         assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
+
+
+class TestLongExactValues:
+    """An exact report value past 4300 digits exits 4 with a one-line message."""
+
+    pytestmark = digit_limit
+
+    ALPHA = 10**2999 + 1  # two such fibers give c1 a denominator of about 6000 digits
+    DATUM = f"[0,1;({ALPHA},1),({ALPHA + 2},1)]"
+    MESSAGE = "c1 has more than 4300 digits"
+
+    def test_data_exits_four(self):
+        assert invoke("homology", "--data", self.DATUM) == (4, "", f"error: {self.MESSAGE}\n")
+
+    def test_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"{self.DATUM}\n[0,2;(3,1),(3,1)]\n")
+        code, out, err = invoke("homology", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 2
+        assert rows[0]["error"] == {"type": "NumericWindowError", "message": self.MESSAGE}
+        assert rows[1]["c1"] == "8/3" and rows[1]["torsion_classes"] == "24"
+
+    def test_digit_boundary(self):
+        for value in (10**4300 - 1, Fraction(-(10**4300 - 1), 10**4300 - 3)):
+            assert cli._exact(value, "x") == str(value)
+        for value in (10**4300, -(10**4300), Fraction(1, 10**4300)):
+            with pytest.raises(NumericWindowError, match="^x has more than 4300 digits$"):
+                cli._exact(value, "x")
+        code, out, _ = invoke("homology", "--data", f"[0,{10**4299}]", "--format", "json")
+        assert code == 0 and json.loads(out)["c1"] == str(10**4299)
 
 
 class TestClassCountDigits:
@@ -394,21 +434,27 @@ class TestComputeOnce:
     ROWS = ("[0,-1;(2,1),(3,1),(5,1)]", "[0,2;(3,1),(3,1)]", "[1,1;(6,5),(10,3),(15,-2)]", "x")
 
     @pytest.mark.parametrize("command", ["invariants", "homology"])
-    def test_one_smith_normal_form_per_row(self, monkeypatch, tmp_path, command):
-        # every row but the malformed last one has c1 != 0
-        calls = []
-        snf = homology.smith_normal_form
+    def test_one_relation_matrix_per_row(self, monkeypatch, tmp_path, command):
+        # every row but the malformed last one has c1 != 0, so each valid row
+        # builds its relation matrix once and needs no Smith normal form
+        calls = {"relations": 0, "snf": 0}
+        relations, snf = homology.relation_matrix, homology.smith_normal_form
+
+        def counting_relations(data):
+            calls["relations"] += 1
+            return relations(data)
 
         def counting_snf(matrix):
-            calls.append(matrix)
+            calls["snf"] += 1
             return snf(matrix)
 
+        monkeypatch.setattr(homology, "relation_matrix", counting_relations)
         monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
         path = tmp_path / "batch.txt"
         path.write_text("\n".join(self.ROWS) + "\n")
         code, out, _ = invoke(command, "--input", str(path), "--format", "json")
         assert code == 0 and len(out.splitlines()) == len(self.ROWS)
-        assert len(calls) == len(self.ROWS) - 1
+        assert calls == {"relations": len(self.ROWS) - 1, "snf": 0}
 
     def test_chern_zero_homology_row_one_smith_normal_form(self, monkeypatch):
         # the torsion classes and the warning come from the report's one H1

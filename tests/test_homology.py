@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from support import DATA_GENUS1, DATA_T24, DATA_UNIT, cofactor_det, matmul, random_seifert
 
 from seifert_torsion import (
@@ -24,7 +28,7 @@ from seifert_torsion import (
     torsion_h2_order,
     torsion_order_integer,
 )
-from seifert_torsion.homology import class_count
+from seifert_torsion.homology import _factors_mod, class_count
 
 
 def random_matrix(rng, max_dim=6, max_entry=99):
@@ -184,6 +188,42 @@ class TestFirstHomology:
             d = random_seifert(rng, nonzero_chern=True)
             assert first_homology(d).torsion_order() == torsion_order_integer(d)
 
+    def test_pinned_factors_past_mod_det_elimination(self):
+        # H1 as the smith_normal_form route gives it: repeated 2-torsion, t24,
+        # c1 = 0, no fibers, mixed chain factors and 3000-digit fibers
+        a = 10**2999 + 1
+        pinned = {
+            (0, 1, ((2, 1),) * 9 + ((4, 1), (6, 1), (8, 3))): (0, (2,) * 10 + (604,)),
+            (0, 2, ((3, 1), (3, 1))): (0, (24,)),
+            (1, -1, ((2, 1), (4, 1), (4, 1))): (3, (2,)),  # c1 = 0
+            (2, -6, ()): (4, (6,)),
+            (1, 0, ((6, 1), (10, 1), (15, 1), (6, 5), (10, 3), (15, -2), (9, 2))): (
+                2,
+                (3, 30, 30, 4200),
+            ),
+            (0, 1, ((a, 1), (a, 1), (a, 1), (12, 5))): (0, (a, a * (17 * a + 36))),
+        }
+        for (genus, euler, pairs), expected in pinned.items():
+            h = first_homology(SeifertData(genus, euler, pairs))
+            assert (h.rank, h.invariant_factors) == expected
+
+    def test_eighty_fibers_within_budget(self):
+        rng = random.Random(80)
+        data = []
+        while len(data) < 3:
+            pairs = []
+            while len(pairs) < 80:
+                alpha, beta = rng.randint(2, 1000), rng.randint(-1000, 1000)
+                if gcd(alpha, beta) == 1:
+                    pairs.append((alpha, beta))
+            d = SeifertData(rng.randint(0, 3), rng.randint(-5, 5), tuple(pairs))
+            if chern_number(d):
+                data.append(d)
+        start = time.perf_counter()
+        orders = [first_homology(d).torsion_order() for d in data]
+        assert time.perf_counter() - start < 5.0
+        assert orders == [torsion_order_integer(d) for d in data]
+
     def test_decomposition_validates_chain(self):
         with pytest.raises(ValueError):
             AbelianGroupDecomposition(0, (2, 3))
@@ -191,6 +231,47 @@ class TestFirstHomology:
             AbelianGroupDecomposition(0, (1,))
         with pytest.raises(ValueError):
             AbelianGroupDecomposition(-1, ())
+
+
+_SQUARE = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-60, 60), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def _coprime_pair(alpha: int, beta: int) -> tuple[int, int]:
+    # the first beta' >= beta coprime to alpha: within alpha steps, beta' = 1 mod alpha
+    while gcd(alpha, beta) != 1:
+        beta += 1
+    return alpha, beta
+
+
+_PAIR = st.builds(
+    _coprime_pair, st.one_of(st.integers(2, 6), st.integers(2, 1000)), st.integers(-1000, 1000)
+)
+_DATA = st.builds(
+    SeifertData, st.integers(0, 3), st.integers(-5, 5), st.lists(_PAIR, max_size=8).map(tuple)
+)
+
+
+class TestEliminationModDeterminant:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_SQUARE)
+    def test_equals_smith_diagonal_on_nonsingular_matrices(self, rows):
+        a = IntegerMatrix.from_rows(rows)
+        det = abs(a.det())
+        assume(det)
+        smith = tuple(e for e in smith_normal_form(a).diagonal() if e > 1)
+        assert _factors_mod(rows, det) == smith
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(_DATA)
+    def test_first_homology_equals_smith_route(self, d):
+        diag = smith_normal_form(relation_matrix(d)).diagonal()
+        smith = (2 * d.genus + diag.count(0), tuple(e for e in diag if e > 1))
+        h = first_homology(d)
+        assert (h.rank, h.invariant_factors) == smith
 
 
 class TestTorsionClasses:
