@@ -4,8 +4,12 @@ Exit codes: 0 success, 2 parse or validation failure, 3 domain failure
 (for example c1 = 0 where a closed form needs c1 != 0), 4 numeric-window
 failure (a zeta kernel asked outside its window, a float result outside the
 double range, or a class count or other exact value past 4300 digits).
+Under main(), 1 when stdout is closed early (for example piped into head):
+the rest of the output is dropped without a traceback.
 Exact rationals and potentially large exact integers appear in JSON output
-as strings, rendered by _exact; floating-point values stay JSON numbers.
+as strings, rendered by _exact; the small exact integers m_x,
+component_dimension and the homology rank stay JSON ints, bounded by _bounded;
+floating-point values stay JSON numbers.
 
 Every output is rendered from the report dict alone.  A text block has one
 row per top-level report key, in report order.  The label is the key with
@@ -21,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -70,11 +75,16 @@ def _parse_and_validate(text: str) -> SeifertData:
     return validate_seifert(parse_seifert(text))
 
 
-def _exact(value, name: str) -> str:
-    """str() of an exact int or Fraction, or NumericWindowError past 4300 digits."""
+def _bounded(value, name: str):
+    """An exact int or Fraction as it is, or NumericWindowError past 4300 digits."""
     if max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
         raise NumericWindowError(f"{name} has more than 4300 digits")
-    return str(value)
+    return value
+
+
+def _exact(value, name: str) -> str:
+    """str() of an exact int or Fraction, or NumericWindowError past 4300 digits."""
+    return str(_bounded(value, name))
 
 
 def _input_block(d: SeifertData) -> dict:
@@ -88,14 +98,14 @@ def _input_block(d: SeifertData) -> dict:
 
 def _homology_block(h1) -> dict:
     factors = [_exact(f, "invariant factor") for f in h1.invariant_factors]
-    return {"rank": h1.rank, "invariant_factors": factors}
+    return {"rank": _bounded(h1.rank, "rank"), "invariant_factors": factors}
 
 
 def _moduli_block(h1, d: SeifertData, gauge_rank: int) -> dict:
     m = moduli_from_homology(h1, d.genus, gauge_rank)
     return {
         "component_count": _exact(m.component_count, "component count"),
-        "component_dimension": m.component_dimension,
+        "component_dimension": _bounded(m.component_dimension, "component dimension"),
         "torsion_factors": [_exact(f, "invariant factor") for f in m.torsion_factors],
     }
 
@@ -126,7 +136,7 @@ def invariant_report(d: SeifertData, gauge_rank: int = 1) -> dict:
         "torsion_order": _exact(tr.radicand, "torsion order"),
         "homology": _homology_block(h1),
         "eta0": _exact(adiabatic_eta(d, gauge_rank), "eta0"),
-        "m_x": m_exponent(d, gauge_rank),
+        "m_x": _bounded(m_exponent(d, gauge_rank), "m_x"),
         "scalar_torsion": _scalar_torsion_block(d, tr),
         "prefactor": tr.prefactor,
         "volume_coefficient": tr.volume_coefficient,
@@ -183,7 +193,7 @@ def partition_report(
         "input": _input_block(d),
         "gauge_rank": gauge_rank,
         "level": level,
-        "m_x": v.m_x,
+        "m_x": _bounded(v.m_x, "m_x"),
         "classes": _exact(v.classes, "class count"),
         "phase_factor": {"re": v.phase_factor.real, "im": v.phase_factor.imag},
         "component_magnitude": v.component_magnitude,
@@ -293,18 +303,19 @@ def _read_cs_file(path: str) -> tuple:
             raise ValidationError(f"cs file is not valid JSON: {exc}") from exc
         if not isinstance(values, list):
             raise ValidationError("cs file JSON must be an array of numbers")
-        for v in values:
-            if not isinstance(v, float):  # true, "1.5", null, an array or an object
-                raise ValidationError(f"cs file holds a non-numeric entry: {json.dumps(v)}")
+        # Each check is one C-level pass; only a failed one looks for the first bad entry.
+        if not set(map(type, values)) <= {float}:  # true, "1.5", null, an array or an object
+            bad = next(v for v in values if type(v) is not float)
+            raise ValidationError(f"cs file holds a non-numeric entry: {json.dumps(bad)}")
         cs = tuple(values)
     else:
         try:
-            cs = tuple(float(v) for v in stripped.split())
+            cs = tuple(map(float, stripped.split()))
         except ValueError as exc:
             raise ValidationError(f"cs file holds a non-numeric entry: {exc}") from exc
-    for c in cs:
-        if not math.isfinite(c):
-            raise ValidationError(f"cs file holds a non-finite entry: {c}")
+    if not all(map(math.isfinite, cs)):
+        bad = next(c for c in cs if not math.isfinite(c))
+        raise ValidationError(f"cs file holds a non-finite entry: {bad}")
     return cs
 
 
@@ -520,4 +531,11 @@ def run(argv=None, out=None, err=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+    except BrokenPipeError:
+        # The recipe of the signal module docs: later flushes go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)

@@ -270,11 +270,14 @@ def moduli_from_homology(
     h1: AbelianGroupDecomposition, genus: int, gauge_rank: int
 ) -> ModuliDescription:
     """The moduli_description of a c1 != 0 datum of this genus, from its H1."""
-    return ModuliDescription(  # the count first: it bounds N before N copies of the factors
+    # The count first: past 4300 digits it stops N before N copies of the
+    # factors are made.  A trivial torsion group stops no N and has nothing to copy.
+    factors = h1.invariant_factors
+    return ModuliDescription(
         component_count=class_count(h1.torsion_order(), gauge_rank),
         component_dimension=2 * genus * gauge_rank,
         gauge_rank=gauge_rank,
-        torsion_factors=tuple(sorted(h1.invariant_factors * gauge_rank)),
+        torsion_factors=tuple(sorted(factors * gauge_rank)) if factors else (),
     )
 
 

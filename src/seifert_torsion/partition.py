@@ -47,9 +47,7 @@ class PartitionInputs:
             raise ValueError(f"gauge rank must be >= 1, got {self.gauge_rank}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
-        object.__setattr__(
-            self, "cs_values", tuple(float(c) for c in self.cs_values)
-        )
+        object.__setattr__(self, "cs_values", tuple(map(float, self.cs_values)))
 
 
 def m_exponent(data: SeifertData, gauge_rank: int = 1) -> int:
@@ -129,9 +127,8 @@ def partition_values(inputs: PartitionInputs) -> PartitionValues:
     if len(inputs.cs_values) != classes:
         raise CsLengthMismatch(classes, len(inputs.cs_values))
     k = float(inputs.level)
-    re = math.fsum(math.cos(k * c) for c in inputs.cs_values)
-    im = math.fsum(math.sin(k * c) for c in inputs.cs_values)
-    total = complex(re, im)
+    angles = [k * c for c in inputs.cs_values]
+    total = complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
     m = n * (d.genus - 1)
     level_power = _level_power(inputs.level, m)
     component = level_power * volume_coefficient(d, n)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -193,6 +196,40 @@ class TestTextOutput:
         argv = (*self.partition_argv(tmp_path), *extra, "--format", "json")
         assert invoke(*argv) == (0, json.dumps(expected, indent=2) + "\n", "")
 
+    # 24^2 = 576 classes at gauge rank 2, from a JSON cs-file of seeded repr floats
+    PARTITION_576_JSON = {
+        "input": {"text": "[0,2;(3,1),(3,1)]", "genus": 0, "euler": 2, "pairs": [[3, 1], [3, 1]]},
+        "gauge_rank": 2,
+        "level": 5,
+        "m_x": -2,
+        "classes": "576",
+        "phase_factor": {"re": 0.6427876096865394, "im": 0.766044443118978},
+        "component_magnitude": 0.0016666666666666666,
+        "magnitude": 0.0309063376040786,
+        "zbar": {"re": -0.02395005877319811, "im": 0.019534492285637698, "abs": 0.03090633760407859},
+        "coherent_bound": 0.96,
+    }
+
+    @pytest.mark.parametrize(
+        "extra,z",
+        [
+            ((), None),
+            (
+                ("--grav-phase", "-0.375"),
+                {"re": 0.0221563783844925, "im": -0.02154754280609452, "abs": 0.030906337604078588},
+            ),
+        ],
+        ids=["zbar-only", "grav-phase"],
+    )
+    def test_partition_json_576_classes(self, tmp_path, extra, z):
+        rng = random.Random(576)
+        path = tmp_path / "cs.json"
+        path.write_text(json.dumps([rng.uniform(0.0, 2 * math.pi) for _ in range(576)]))
+        argv = ("partition", "--data", "[0,2;(3,1),(3,1)]", "--gauge-rank", "2")
+        argv += ("--cs-file", str(path), "--level", "5", *extra, "--format", "json")
+        expected = dict(self.PARTITION_576_JSON, **({"z": z} if z else {}))
+        assert invoke(*argv) == (0, json.dumps(expected, indent=2) + "\n", "")
+
 
 class TestInvariantReport:
     def test_exact_fields_are_strings(self):
@@ -257,6 +294,55 @@ class TestExitCodes:
     def test_unreadable_input_file(self):
         code, _, err = invoke("invariants", "--input", "/no/such/file")
         assert code == 2 and "error:" in err
+
+
+class TestHugeGaugeRank:
+    """A trivial torsion group bounds no N: the JSON ints 2gN and N(g - 1) are bounded."""
+
+    NINES = "9" * 4300  # the largest gauge rank of at most 4300 digits
+    MESSAGE = "component dimension has more than 4300 digits"
+
+    def test_trivial_torsion_group_gets_its_result(self):
+        rank = 10**20
+        argv = ("homology", "--data", "[1,1]", "--gauge-rank", str(rank), "--format", "json")
+        code, out, err = invoke(*argv)
+        moduli = json.loads(out)["moduli"]
+        assert (code, err) == (0, "")
+        assert moduli == {"component_count": "1", "component_dimension": 2 * rank, "torsion_factors": []}
+
+    @pytest.mark.parametrize("datum", ["[1,1]", "[6,1]"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_long_component_dimension_exits_four(self, datum, fmt):
+        argv = ("homology", "--data", datum, "--gauge-rank", self.NINES, "--format", fmt)
+        assert invoke(*argv) == (4, "", f"error: {self.MESSAGE}\n")
+
+    def test_batch_rows_are_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text("[6,1]\n[1,1]\n[0,-1;(2,1),(3,1),(5,1)]\n")
+        argv = ("homology", "--input", str(path), "--gauge-rank", self.NINES, "--format", "json")
+        code, out, err = invoke(*argv)
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 3
+        for row in rows[:2]:
+            assert row["error"] == {"type": "NumericWindowError", "message": self.MESSAGE}
+        assert rows[2]["moduli"]["component_dimension"] == 0
+
+
+class TestClosedStdout:
+    def test_broken_pipe_exits_one_without_traceback(self, tmp_path):
+        # far more output than a pipe holds, so the writer meets the closed end
+        path = tmp_path / "rows.txt"
+        path.write_text("[0,2;(3,1),(3,1)]\n" * 2000)
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        argv = [sys.executable, "-m", "seifert_torsion", "homology", "--input", str(path)]
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+        with subprocess.Popen([*argv, "--format", "json"], env=env, **pipes) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert json.loads(first)["torsion_classes"] == "24"
+        assert (code, err) == (1, b"")
 
 
 class TestNonAsciiDigits:
@@ -342,8 +428,27 @@ class TestLongExactValues:
         for value in (10**4300, -(10**4300), Fraction(1, 10**4300)):
             with pytest.raises(NumericWindowError, match="^x has more than 4300 digits$"):
                 cli._exact(value, "x")
+            with pytest.raises(NumericWindowError, match="^x has more than 4300 digits$"):
+                cli._bounded(value, "x")  # the rule for the JSON ints m_x and component_dimension
+        assert cli._bounded(10**4300 - 1, "x") == 10**4300 - 1
         code, out, _ = invoke("homology", "--data", f"[0,{10**4299}]", "--format", "json")
         assert code == 0 and json.loads(out)["c1"] == str(10**4299)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_long_rank_exits_four(self, fmt):
+        # c1 = 0, so the rank 2g + 1 of a 4300-digit genus is the first value past the rule
+        argv = ("homology", "--data", f"[{10**4300 - 1},0]", "--format", fmt)
+        assert invoke(*argv) == (4, "", "error: rank has more than 4300 digits\n")
+
+    def test_long_rank_batch_row_is_isolated(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"[{10**4300 - 1},0]\n[1,1]\n")
+        code, out, err = invoke("homology", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 2
+        message = "rank has more than 4300 digits"
+        assert rows[0]["error"] == {"type": "NumericWindowError", "message": message}
+        assert rows[1]["homology"] == {"rank": 2, "invariant_factors": []}
 
 
 class TestClassCountDigits:
@@ -593,13 +698,26 @@ class TestPartitionCommand:
         assert err.startswith("error: cs file holds a non-finite entry: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "text, entry", [("[true]", "true"), ('["1.5"]', '"1.5"'), ("[0.5, null]", "null")]
+        "text, entry",
+        [
+            ("[true]", "true"),
+            ('["1.5"]', '"1.5"'),
+            ("[0.5, null]", "null"),
+            ('[0.5, "a", true]', '"a"'),  # the first bad entry is named
+            ("[0.5, 1e400, null]", "null"),  # the type check runs before the finiteness check
+        ],
     )
     def test_non_number_json_entry(self, tmp_path, text, entry):
         path = tmp_path / "cs.json"
         path.write_text(text)
         code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
         assert (code, out, err) == (2, "", f"error: cs file holds a non-numeric entry: {entry}\n")
+
+    def test_first_non_finite_decimal_is_named(self, tmp_path):
+        path = tmp_path / "cs.txt"
+        path.write_text("0.5 nan inf")
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        assert (code, out, err) == (2, "", "error: cs file holds a non-finite entry: nan\n")
 
     def test_json_integer_past_double_range(self, tmp_path):
         path = tmp_path / "cs.json"

@@ -332,6 +332,12 @@ class TestModuliDescription:
         assert m.component_count == 1
         assert m.component_dimension == 4
 
+    def test_trivial_torsion_group_at_huge_rank(self):
+        # no class count bounds N here, and no N copies of the factors are made
+        m = moduli_description(DATA_GENUS1, 10**20)
+        assert (m.component_count, m.component_dimension) == (1, 2 * 10**20)
+        assert m.torsion_factors == ()
+
     def test_t24_rank_two_torsion_factors_rechain(self):
         m = moduli_description(DATA_T24, 2)
         assert m.component_count == 576
