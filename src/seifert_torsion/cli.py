@@ -43,6 +43,7 @@ from .errors import (
     NumericWindowError,
     SeifertError,
     ValidationError,
+    brief_int,
 )
 from .homology import class_count, first_homology, moduli_from_homology
 from .parsing import format_seifert, parse_seifert
@@ -451,7 +452,7 @@ def _cmd_selftest(args, out, err) -> int:
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {brief_int(value)}")
     return value
 
 

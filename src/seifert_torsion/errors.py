@@ -10,6 +10,11 @@ The hierarchy mirrors how the CLI maps failures to exit codes:
 """
 
 
+def brief_int(n: int) -> str:
+    """str(n) for an error message, or its sign and "<more than 50 digits>" past 50 digits."""
+    return str(n) if abs(n) < 10**50 else f"{'-' * (n < 0)}<more than 50 digits>"
+
+
 class SeifertError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -2,9 +2,9 @@
 
 first_homology takes one of two routes on the relation matrix A.  When
 D = |det A| != 0 (c1 != 0), D Z^n lies in the image of A and _factors_mod
-eliminates mod D without U or V (H. Cohen, GTM 138, 2.4); D is the Bareiss
-IntegerMatrix.det, never the closed-form torsion order, which |Tors H1| thus
-checks independently.  When D = 0 (c1 = 0), smith_normal_form runs on A.
+eliminates mod D without U or V (H. Cohen, GTM 138, 2.4), unit pivots first;
+D is the Bareiss IntegerMatrix.det, never the closed-form torsion order, which
+|Tors H1| thus checks independently.  When D = 0, smith_normal_form runs on A.
 
 smith_normal_form is a deterministic elimination over the integers: pick the
 minimum-absolute-value nonzero entry of the working submatrix (ties broken by
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product as _cartesian
 from math import gcd, prod
 
-from .errors import CapExceeded, ChernNumberZero, ChernZeroWarning, NumericWindowError
+from .errors import CapExceeded, ChernNumberZero, ChernZeroWarning, NumericWindowError, brief_int
 from .seifert import (
     IntegerMatrix,
     SeifertData,
@@ -160,26 +160,31 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     return g, s, (g - s * x) // y
 
 
-def _factors_mod(rows: list[list[int]], det: int) -> tuple[int, ...]:
+def _factors_mod(a: IntegerMatrix, det: int, order: list[int]) -> tuple[int, ...]:
     """Invariant factors > 1 of coker A for a square A with |det A| = det > 0.
 
-    Unimodular 2x2 extended-gcd row steps, then column steps, clear column t
-    and row t until both stay clear, with every entry kept in [0, det); each
-    pivot gives gcd(pivot, det).  A pairwise gcd/lcm pass makes the chain.
+    Its one copy takes the rows and columns of A in `order` (a permutation, so
+    coker A stays) and reduces them into [0, det).  Unimodular 2x2 extended-gcd
+    row steps, then column steps, clear column t and row t until both stay
+    clear; a quotient row step on a clear row t only zeroes b[i][t].  Each pivot
+    gives gcd(pivot, det); a pairwise gcd/lcm pass makes the chain.
     """
-    n = len(rows)
-    b = [[e % det for e in r] for r in rows]
+    n, e = a.cols, a.entries
+    b = [[e[i * n + k] % det for k in order] for i in order]
     pivots = []
     for t in range(n):
-        clean = False
+        clean = clear = False  # clear: row t is zero past its pivot
         while not clean:
             for i in range(t + 1, n):
                 if b[i][t]:
                     bt, bi = b[t], b[i]
                     g, s, u = _xgcd(bt[t], bi[t])
-                    p, r = bt[t] // g, bi[t] // g
                     if u:  # else a plain quotient step: row t stays
-                        b[t] = [(s * e + u * f) % det for e, f in zip(bt, bi)]
+                        b[t], clear = [(s * e + u * f) % det for e, f in zip(bt, bi)], False
+                    elif clear:  # the quotient row step changes column t only
+                        bi[t] = 0
+                        continue
+                    p, r = bt[t] // g, bi[t] // g
                     b[i] = [(p * f - r * e) % det for e, f in zip(bt, bi)]
             clean = True  # column t is clear below the pivot
             for j in range(t + 1, n):
@@ -194,6 +199,7 @@ def _factors_mod(rows: list[list[int]], det: int) -> tuple[int, ...]:
                 for row in b[t:]:
                     e, f = row[t], row[j]
                     row[t], row[j] = (s * e + u * f) % det, (p * f - r * e) % det
+            clear = True  # every column step left row t zero past its pivot
         pivots.append(gcd(b[t][t], det))
     f = [e for e in pivots if e > 1]
     for i in range(len(f)):
@@ -206,16 +212,19 @@ def _factors_mod(rows: list[list[int]], det: int) -> tuple[int, ...]:
 def first_homology(data: SeifertData) -> AbelianGroupDecomposition:
     """H1 as Z^rank plus cyclic factors, from the abelianized relations.
 
-    The genus generators contribute Z^{2g} directly; the cokernel of the
-    relation matrix A contributes the rest.  When det A != 0 (c1 != 0) its
-    factors come from the elimination mod |det A| and rank = 2g; when
-    det A = 0 (c1 = 0) they come from smith_normal_form and rank = 2g + 1.
+    The genus generators contribute Z^{2g}; the cokernel of the relation
+    matrix A contributes the rest.  When D = |det A| != 0 (c1 != 0), rank = 2g
+    and the elimination mod D gives the factors, the fibers sorted by
+    (gcd(alpha_j, D), -alpha_j), h last: pivots sharing a factor with D fill
+    every row, so they come last.  When D = 0, smith_normal_form does, rank 2g + 1.
     """
     d = validate_seifert(data)
     a = relation_matrix(d)
     det = abs(a.det())
     if det:
-        return AbelianGroupDecomposition(2 * d.genus, _factors_mod(a.to_rows(), det))
+        n, e = a.cols, a.entries
+        order = sorted(range(n), key=lambda j: (j == n - 1, gcd(e[j * n + j], det), -e[j * n + j]))
+        return AbelianGroupDecomposition(2 * d.genus, _factors_mod(a, det, order))
     factors = tuple(e for e in smith_normal_form(a).diagonal() if e > 1)
     return AbelianGroupDecomposition(2 * d.genus + 1, factors)  # rank A = n - 1 (rows alpha_j e_j)
 
@@ -232,7 +241,8 @@ def class_count(order: int, gauge_rank: int) -> int:
         count = order**gauge_rank
         if count < _COUNT_LIMIT:
             return count
-    raise NumericWindowError(f"class count |Tors H1|^{gauge_rank} has more than 4300 digits")
+    power = brief_int(gauge_rank)
+    raise NumericWindowError(f"class count |Tors H1|^{power} has more than 4300 digits")
 
 
 def torsion_h2_order(data: SeifertData, gauge_rank: int = 1) -> int:

@@ -95,7 +95,7 @@ class IntegerMatrix:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free (Bareiss) elimination, skipping zero work."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
@@ -112,12 +112,18 @@ class IntegerMatrix:
                         break
                 else:
                     return 0
+            p = m[k][k]
             for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss update: division by the previous pivot is exact
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
+                row, f = m[i], m[i][k]
+                if f:  # Bareiss update: division by the previous pivot is exact
+                    for j in range(k + 1, n):
+                        row[j] = (row[j] * p - f * m[k][j]) // prev
+                    row[k] = 0
+                elif p != prev:  # with f = 0 the update is the exact rescale: zeros stay
+                    for j in range(k + 1, n):
+                        if row[j]:
+                            row[j] = row[j] * p // prev
+            prev = p
         return sign * m[n - 1][n - 1]
 
 
@@ -169,13 +175,9 @@ def relation_matrix(data: SeifertData) -> IntegerMatrix:
     """
     d = validate_seifert(data)
     m = d.fiber_count
-    if m == 0:
-        return IntegerMatrix(1, 1, (-d.euler,))
-    rows = []
+    entries = []  # row-major
     for j, (alpha, beta) in enumerate(d.pairs):
         row = [0] * (m + 1)
-        row[j] = alpha
-        row[m] = beta
-        rows.append(row)
-    rows.append([1] * m + [-d.euler])
-    return IntegerMatrix.from_rows(rows)
+        row[j], row[m] = alpha, beta
+        entries += row
+    return IntegerMatrix(m + 1, m + 1, (*entries, *[1] * m, -d.euler))

@@ -24,6 +24,7 @@ from .errors import (
     NumericWindowError,
     SingularPoint,
     UnsupportedWindow,
+    brief_int,
 )
 from .seifert import SeifertData, chern_number, torsion_order_integer, validate_seifert
 from .zetafunc import WINDOW, hurwitz_zeta, riemann_zeta
@@ -260,8 +261,9 @@ def torsion_prefactor(data: SeifertData, gauge_rank: int = 1) -> TorsionReport:
         prefactor = TWO_PI ** (-gauge_rank * d.genus) * k_x
         volume = float(radicand) ** (gauge_rank / 2.0)
     except OverflowError:
+        rank = brief_int(gauge_rank)
         raise NumericWindowError(
-            f"prefactor or symplectic volume at gauge rank {gauge_rank} is outside the double range"
+            f"prefactor or symplectic volume at gauge rank {rank} is outside the double range"
         ) from None
     return TorsionReport(
         scalar_torsion=scalar_torsion_trivial(d),

@@ -21,6 +21,8 @@ DATA_GENUS1 = SeifertData(1, 1, ())
 DATA_T24 = SeifertData(0, 2, ((3, 1), (3, 1)))
 FIXTURES = (DATA_UNIT, DATA_GENUS1, DATA_T24)
 
+LONG = "<more than 50 digits>"  # how an error message quotes an integer past 50 digits
+
 
 def random_seifert(rng, max_genus=3, max_fibers=5, max_alpha=50, nonzero_chern=False):
     """A random valid Seifert datum; optionally resampled until c1 != 0."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from support import LONG
 
 from seifert_torsion import cli, homology, partition
 from seifert_torsion.errors import NumericWindowError, UnsupportedWindow
@@ -297,10 +298,15 @@ class TestExitCodes:
 
 
 class TestHugeGaugeRank:
-    """A trivial torsion group bounds no N: the JSON ints 2gN and N(g - 1) are bounded."""
+    """A trivial torsion group bounds no N: the JSON ints 2gN and N(g - 1) are bounded.
+
+    An error message quotes a gauge rank past 50 digits as LONG.
+    """
 
     NINES = "9" * 4300  # the largest gauge rank of at most 4300 digits
     MESSAGE = "component dimension has more than 4300 digits"
+    PREFACTOR = f"prefactor or symplectic volume at gauge rank {LONG} is outside the double range"
+    COUNT = f"class count |Tors H1|^{LONG} has more than 4300 digits"
 
     def test_trivial_torsion_group_gets_its_result(self):
         rank = 10**20
@@ -315,6 +321,27 @@ class TestHugeGaugeRank:
     def test_long_component_dimension_exits_four(self, datum, fmt):
         argv = ("homology", "--data", datum, "--gauge-rank", self.NINES, "--format", fmt)
         assert invoke(*argv) == (4, "", f"error: {self.MESSAGE}\n")
+
+    @pytest.mark.parametrize(
+        "command,datum,message",
+        [
+            ("invariants", "[6,1]", PREFACTOR),
+            ("torsion", "[6,1]", PREFACTOR),
+            ("homology", "[0,2;(3,1),(3,1)]", COUNT),
+        ],
+        ids=["invariants", "torsion", "homology"],
+    )
+    def test_long_rank_stays_out_of_the_message(self, command, datum, message):
+        code, out, err = invoke(command, "--data", datum, "--gauge-rank", self.NINES)
+        assert (code, out, err) == (4, "", f"error: {message}\n")
+        assert len(err) < 200
+
+    def test_long_negative_rank_usage_error_is_short(self, capsys):
+        code, out, _ = invoke("homology", "--data", "[1,1]", "--gauge-rank", "-" + self.NINES)
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert (code, out) == (2, "")
+        assert last.endswith(f"argument --gauge-rank: must be >= 1, got -{LONG}")
+        assert len(last) < 200
 
     def test_batch_rows_are_isolated(self, tmp_path):
         path = tmp_path / "batch.txt"

@@ -105,7 +105,7 @@ _NON_ASCII_DIGIT = st.characters(categories=("Nd", "No")).filter(
 
 
 class TestProperties:
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=200)
     @given(_DATA, _NON_ASCII_DIGIT, st.integers(0, 9), st.integers(0, 11), st.booleans())
     def test_round_trip_and_ascii_only_digits(self, d, digit, slot, at, replace):
         text = format_seifert(d)

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import (
     DATA_GENUS1,
     DATA_T24,
@@ -153,6 +155,20 @@ class TestRelationMatrix:
             assert m.det() == cofactor_det(m.to_rows())
 
 
+def _sparse_square(n: int):
+    """n x n matrices of small nonzero entries with 30% to 70% of them set to 0."""
+    cells = n * n
+    entries = st.lists(st.integers(-12, 12).filter(bool), min_size=cells, max_size=cells)
+    low, high = round(0.3 * cells), round(0.7 * cells)
+    zeros = st.sets(st.integers(0, cells - 1), min_size=low, max_size=high)
+
+    def place(t):
+        values, zero = t
+        return [[0 if i * n + j in zero else values[i * n + j] for j in range(n)] for i in range(n)]
+
+    return st.tuples(entries, zeros).map(place)
+
+
 class TestIntegerMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -189,6 +205,13 @@ class TestIntegerMatrix:
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert IntegerMatrix.from_rows(rows).det() == cofactor_det(rows)
+
+    # small entries and many zeros reach row swaps, rows with a zero
+    # pivot-column entry and steps whose pivot equals the previous one
+    @settings(max_examples=200)
+    @given(st.integers(1, 6).flatmap(_sparse_square))
+    def test_det_matches_cofactor_oracle_on_sparse_matrices(self, rows):
+        assert IntegerMatrix.from_rows(rows).det() == cofactor_det(rows)
 
     def test_det_needs_square(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from support import DATA_GENUS1, DATA_T24, DATA_UNIT, FIXTURES, random_seifert
+from support import DATA_GENUS1, DATA_T24, DATA_UNIT, FIXTURES, LONG, random_seifert
 
 from seifert_torsion import (
     AngleOutOfRange,
@@ -274,6 +274,18 @@ class TestDoubleRange:
     def test_overflow_is_numeric_window_error(self, func, args):
         with pytest.raises(NumericWindowError, match="outside the double range"):
             func(*args)
+
+    @pytest.mark.parametrize(
+        "rank,quoted",
+        [(500, "500"), (int("9" * 4300), LONG), (10**5000, LONG)],
+        ids=["short", "4300-digits", "past-str"],
+    )
+    def test_message_quotes_a_long_rank_briefly(self, rank, quoted):
+        # 10**5000 has too many digits for str(), so the message must not call it
+        with pytest.raises(NumericWindowError) as info:
+            torsion_prefactor(DATA_T24, rank)
+        rank_part = f"prefactor or symplectic volume at gauge rank {quoted}"
+        assert str(info.value) == f"{rank_part} is outside the double range"
 
 
 class TestIsotropyVolume:
