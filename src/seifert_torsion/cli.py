@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 parse or validation failure, 3 domain failure
 (for example c1 = 0 where a closed form needs c1 != 0), 4 numeric-window
 failure (a zeta kernel asked outside its window, a float result outside the
 double range, or a class count or other exact value past 4300 digits).
-Under main(), 1 when stdout is closed early (for example piped into head):
-the rest of the output is dropped without a traceback.
+1 when a batch row raised anything but a SeifertError, a bug: the other
+rows still run and stderr ends "internal error in N rows".  Under main(),
+also 1 when stdout is closed early (for example piped into head): the rest
+of the output is dropped without a traceback.
 Exact rationals and potentially large exact integers appear in JSON output
 as strings, rendered by _exact; the small exact integers m_x,
 component_dimension and the homology rank stay JSON ints, bounded by _bounded;
@@ -409,10 +411,12 @@ def _cmd_data(args, out, err) -> int:
         lines = Path(args.input).read_text().splitlines()
     except OSError as exc:
         raise ValidationError(f"cannot read input file: {exc}") from exc
+    internal = 0
     for line in lines:
         try:
             report = build(_parse_and_validate(line), args.gauge_rank)
-        except SeifertError as exc:
+        except Exception as exc:  # any other exception is a bug: it stops this row only
+            internal += not isinstance(exc, SeifertError)
             report = {"input": line, "error": {"type": type(exc).__name__, "message": str(exc)}}
         if args.format == "json":
             out.write(_json_line(report) + "\n")
@@ -420,7 +424,9 @@ def _cmd_data(args, out, err) -> int:
             out.write(f"{line.strip() or '(empty)'} error: {report['error']['message']}\n")
         else:
             out.write(_text_line(report, line_keys))
-    return 0
+    if internal:
+        err.write(f"internal error in {internal} rows\n")
+    return 1 if internal else 0
 
 
 def _cmd_dedekind(args, out, err) -> int:
@@ -449,8 +455,18 @@ def _cmd_selftest(args, out, err) -> int:
     return 0 if report["ok"] else 4
 
 
+def _int(text: str, name: str = "int") -> int:
+    """int(text); a ValueError (a literal past 4300 digits too) gives argparse's own
+    "invalid <name> value" message, which quotes the text only up to 50 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 50 else f"<{len(text)} characters>"
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {shown}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text, "_positive_int")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {brief_int(value)}")
     return value
@@ -486,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=_cmd_data)
 
     p = sub.add_parser("dedekind", help="Dedekind sum s(alpha, beta)")
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
+    p.add_argument("--alpha", type=_int, required=True)
+    p.add_argument("--beta", type=_int, required=True)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(handler=_cmd_dedekind)
 

@@ -31,7 +31,7 @@ class CoprimalityViolation(ValidationError):
         self.alpha = alpha
         self.beta = beta
         where = f" (pair {index})" if index is not None else ""
-        super().__init__(f"gcd({alpha}, {beta}) != 1{where}")
+        super().__init__(f"gcd({brief_int(alpha)}, {brief_int(beta)}) != 1{where}")
 
 
 class NonPositiveAlpha(ValidationError):
@@ -41,7 +41,7 @@ class NonPositiveAlpha(ValidationError):
         self.index = index
         self.alpha = alpha
         where = f" (pair {index})" if index is not None else ""
-        super().__init__(f"fiber order must be >= 1, got {alpha}{where}")
+        super().__init__(f"fiber order must be >= 1, got {brief_int(alpha)}{where}")
 
 
 class NegativeGenus(ValidationError):
@@ -49,7 +49,7 @@ class NegativeGenus(ValidationError):
 
     def __init__(self, genus):
         self.genus = genus
-        super().__init__(f"genus must be >= 0, got {genus}")
+        super().__init__(f"genus must be >= 0, got {brief_int(genus)}")
 
 
 class ParseError(ValidationError):

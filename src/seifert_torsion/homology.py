@@ -166,35 +166,36 @@ def _factors_mod(a: IntegerMatrix, det: int, order: list[int]) -> tuple[int, ...
     Its one copy takes the rows and columns of A in `order` (a permutation, so
     coker A stays) and reduces them into [0, det).  Unimodular 2x2 extended-gcd
     row steps, then column steps, clear column t and row t until both stay
-    clear; a quotient row step on a clear row t only zeroes b[i][t].  Each pivot
-    gives gcd(pivot, det); a pairwise gcd/lcm pass makes the chain.
+    clear.  A step whose pivot divides the entry, on a clear row t or a clean
+    column t, only zeroes that entry: one % finds it before any _xgcd.  Each
+    pivot gives gcd(pivot, det); a pairwise gcd/lcm pass makes the chain.
     """
     n, e = a.cols, a.entries
     b = [[e[i * n + k] % det for k in order] for i in order]
     pivots = []
     for t in range(n):
-        clean = clear = False  # clear: row t is zero past its pivot
+        clean = clear = False  # clear: row t is zero past its pivot (then its pivot is > 0)
         while not clean:
             for i in range(t + 1, n):
-                if b[i][t]:
+                y = b[i][t]
+                if y and clear and not y % b[t][t]:  # the quotient row step changes column t only
+                    b[i][t] = 0
+                elif y:
                     bt, bi = b[t], b[i]
-                    g, s, u = _xgcd(bt[t], bi[t])
+                    g, s, u = _xgcd(bt[t], y)
                     if u:  # else a plain quotient step: row t stays
                         b[t], clear = [(s * e + u * f) % det for e, f in zip(bt, bi)], False
-                    elif clear:  # the quotient row step changes column t only
-                        bi[t] = 0
-                        continue
-                    p, r = bt[t] // g, bi[t] // g
+                    p, r = bt[t] // g, y // g
                     b[i] = [(p * f - r * e) % det for e, f in zip(bt, bi)]
             clean = True  # column t is clear below the pivot
             for j in range(t + 1, n):
                 x, y = b[t][t], b[t][j]
                 if not y:
                     continue
-                g, s, u = _xgcd(x, y)
-                if clean and not u:
-                    b[t][j] = 0  # the quotient column step changes row t only
+                if clean and x and not y % x:  # the quotient column step changes row t only
+                    b[t][j] = 0
                     continue
+                g, s, u = _xgcd(x, y)
                 p, r, clean = x // g, y // g, False
                 for row in b[t:]:
                     e, f = row[t], row[j]

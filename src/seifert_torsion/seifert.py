@@ -95,36 +95,43 @@ class IntegerMatrix:
         return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination, skipping zero work."""
+        """Exact determinant by fraction-free (Bareiss) elimination with a deferred rescale.
+
+        Step k takes each row below pivot p to (row * p - f * pivot row) / prev, with f
+        the row's pivot-column entry; for f = 0 that is the rescale row * p / prev, which
+        waits.  Stored row i is its current one times seen[i] / prev, seen[i] the pivot it
+        last caught up with: the quotients telescope and each current entry is a minor of
+        A, so every division is exact.  A row catches up only when next touched: as pivot
+        row, in an update (which divides by seen[i], not prev) and at the end (last entry).
+        """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         n = self.rows
         m = self.to_rows()
-        sign = 1
-        prev = 1
+        seen = [1] * n
+        sign = prev = 1
         for k in range(n - 1):
             if m[k][k] == 0:
                 # swap in a nonzero pivot from below, or the determinant is 0
                 for i in range(k + 1, n):
                     if m[i][k]:
-                        m[k], m[i] = m[i], m[k]
+                        m[k], m[i], seen[k], seen[i] = m[i], m[k], seen[i], seen[k]
                         sign = -sign
                         break
                 else:
                     return 0
-            p = m[k][k]
+            top = m[k]
+            if seen[k] != prev:
+                top[k:] = [e * prev // seen[k] for e in top[k:]]
+            p = top[k]
             for i in range(k + 1, n):
                 row, f = m[i], m[i][k]
-                if f:  # Bareiss update: division by the previous pivot is exact
+                if f:
+                    s, seen[i] = seen[i], p
                     for j in range(k + 1, n):
-                        row[j] = (row[j] * p - f * m[k][j]) // prev
-                    row[k] = 0
-                elif p != prev:  # with f = 0 the update is the exact rescale: zeros stay
-                    for j in range(k + 1, n):
-                        if row[j]:
-                            row[j] = row[j] * p // prev
+                        row[j] = (row[j] * p - f * top[j]) // s
             prev = p
-        return sign * m[n - 1][n - 1]
+        return sign * m[n - 1][n - 1] * prev // seen[n - 1]
 
 
 def validate_seifert(data: SeifertData) -> SeifertData:

@@ -478,6 +478,169 @@ class TestLongExactValues:
         assert rows[1]["homology"] == {"rank": 2, "invariant_factors": []}
 
 
+class TestLongValidationValues:
+    """A validation message quotes alpha, beta and the genus past 50 digits as LONG."""
+
+    pytestmark = digit_limit
+
+    NINES = "9" * 4300  # divisible by 3, so (NINES, 3) is not a coprime pair
+
+    @pytest.mark.parametrize(
+        "datum,message",
+        [
+            (f"[0,1;({NINES},3)]", f"gcd({LONG}, 3) != 1 (pair 1)"),
+            (f"[0,1;(3,{NINES})]", f"gcd(3, {LONG}) != 1 (pair 1)"),
+            (f"[0,1;(-{NINES},3)]", f"fiber order must be >= 1, got -{LONG} (pair 1)"),
+            (f"[-{NINES},1]", f"genus must be >= 0, got -{LONG}"),
+        ],
+        ids=["alpha", "beta", "negative-alpha", "negative-genus"],
+    )
+    def test_message_is_short(self, datum, message):
+        code, out, err = invoke("invariants", "--data", datum)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert len(err) < 200
+
+    def test_dedekind_message_is_short(self):
+        code, out, err = invoke("dedekind", "--alpha", self.NINES, "--beta", "3")
+        assert (code, out, err) == (2, "", f"error: gcd({LONG}, 3) != 1\n")
+
+    def test_fifty_digits_are_quoted_in_full(self):
+        fifty = "9" * 50
+        for datum, message in [
+            (f"[0,1;({fifty},3)]", f"gcd({fifty}, 3) != 1 (pair 1)"),
+            (f"[0,1;(-{fifty},3)]", f"fiber order must be >= 1, got -{fifty} (pair 1)"),
+            (f"[-{fifty},1]", f"genus must be >= 0, got -{fifty}"),
+            (f"[0,1;(9{fifty},3)]", f"gcd({LONG}, 3) != 1 (pair 1)"),
+        ]:
+            assert invoke("invariants", "--data", datum) == (2, "", f"error: {message}\n")
+
+
+class TestIntegerOptionValues:
+    """An integer option quotes its value only up to 50 characters.
+
+    So one past 4300 digits ends in a short usage error (exit 2), and short
+    invalid values keep argparse's own text.
+    """
+
+    pytestmark = digit_limit
+
+    LITERAL = "1" + "9" * 4300  # one digit past int()'s limit
+
+    @pytest.mark.parametrize(
+        "argv,tail",
+        [
+            (
+                ("dedekind", "--alpha", LITERAL, "--beta", "1"),
+                "--alpha: invalid int value: <4301 characters>",
+            ),
+            (
+                ("dedekind", "--alpha", "1", "--beta", LITERAL),
+                "--beta: invalid int value: <4301 characters>",
+            ),
+            (
+                ("homology", "--data", "[1,1]", "--gauge-rank", LITERAL),
+                "--gauge-rank: invalid _positive_int value: <4301 characters>",
+            ),
+            (
+                ("partition", "--data", "[1,1]", "--cs-file", "cs.txt", "--level", LITERAL),
+                "--level: invalid _positive_int value: <4301 characters>",
+            ),
+        ],
+        ids=["alpha", "beta", "gauge-rank", "level"],
+    )
+    def test_long_literal_usage_error_is_short(self, capsys, argv, tail):
+        assert invoke(*argv)[:2] == (2, "")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"error: argument {tail}") and len(last) < 200
+
+    @pytest.mark.parametrize(
+        "argv,last",
+        [
+            (
+                ("dedekind", "--alpha", "x", "--beta", "1"),
+                "dedekind: error: argument --alpha: invalid int value: 'x'",
+            ),
+            (
+                ("dedekind", "--alpha", "3", "--beta", "1.5"),
+                "dedekind: error: argument --beta: invalid int value: '1.5'",
+            ),
+            (
+                ("dedekind", "--alpha", "x" * 50, "--beta", "1"),
+                f"dedekind: error: argument --alpha: invalid int value: '{'x' * 50}'",
+            ),
+            (
+                ("dedekind", "--alpha", "x" * 51, "--beta", "1"),
+                "dedekind: error: argument --alpha: invalid int value: <51 characters>",
+            ),
+            (
+                ("homology", "--data", "[1,1]", "--gauge-rank", "x"),
+                "homology: error: argument --gauge-rank: invalid _positive_int value: 'x'",
+            ),
+            (
+                ("homology", "--data", "[1,1]", "--gauge-rank", "0"),
+                "homology: error: argument --gauge-rank: must be >= 1, got 0",
+            ),
+            (
+                ("partition", "--data", "[1,1]", "--cs-file", "cs.txt", "--level", "0"),
+                "partition: error: argument --level: must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_short_invalid_values_keep_argparse_text(self, capsys, argv, last):
+        assert invoke(*argv)[:2] == (2, "")
+        assert capsys.readouterr().err.splitlines()[-1] == f"seifert-torsion {last}"
+
+
+class TestInternalErrorRows:
+    """A batch row whose builder raises a non-package exception gets an error
+    record, the rows after it still run, and the run exits 1."""
+
+    LINES = "[0,2;(3,1),(3,1)]\ngarbage\n[1,1]\n"
+
+    @staticmethod
+    def failing(monkeypatch, rows):
+        """Make the homology builder raise ZeroDivisionError on its first `rows` calls."""
+        build, help_text, keys = cli._DATA_COMMANDS["homology"]
+        calls = []
+
+        def builder(d, gauge_rank=1):
+            calls.append(d)
+            if len(calls) <= rows:
+                raise ZeroDivisionError("division by zero")
+            return build(d, gauge_rank)
+
+        monkeypatch.setitem(cli._DATA_COMMANDS, "homology", (builder, help_text, keys))
+
+    def test_json_rows_after_it_are_printed(self, monkeypatch, tmp_path):
+        self.failing(monkeypatch, 1)
+        path = tmp_path / "batch.txt"
+        path.write_text(self.LINES)
+        code, out, err = invoke("homology", "--input", str(path), "--format", "json")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert (code, err, len(rows)) == (1, "internal error in 1 rows\n", 3)
+        error = {"type": "ZeroDivisionError", "message": "division by zero"}
+        assert rows[0] == {"input": "[0,2;(3,1),(3,1)]", "error": error}
+        assert rows[1]["error"]["type"] == "ParseError"
+        assert rows[2]["c1"] == "1"
+
+    def test_text_rows_count_every_internal_error(self, monkeypatch, tmp_path):
+        self.failing(monkeypatch, 2)
+        path = tmp_path / "batch.txt"
+        path.write_text(self.LINES)
+        code, out, err = invoke("homology", "--input", str(path))
+        assert (code, err) == (1, "internal error in 2 rows\n")
+        assert out == (
+            "[0,2;(3,1),(3,1)] error: division by zero\n"
+            "garbage error: offset 0: expected '[', found 'g'\n"
+            "[1,1] error: division by zero\n"
+        )
+
+    def test_single_datum_is_unchanged(self, monkeypatch):
+        self.failing(monkeypatch, 1)
+        with pytest.raises(ZeroDivisionError):
+            invoke("homology", "--data", "[1,1]")
+
+
 class TestClassCountDigits:
     """A class count |Tors H1|^N past 4300 digits exits 4 with a one-line message."""
 

@@ -315,6 +315,13 @@ class TestEliminationModDeterminant:
                 smith = tuple(e for e in smith_normal_form(a).diagonal() if e > 1)
                 assert _factors_mod(a, det, list(range(n))) == smith
 
+    def test_zero_pivot_with_a_nonzero_row(self):
+        # column 0 is 0 mod det and row 0 is not: the column step swaps the two
+        # columns, and the quotient test must not divide by the zero pivot
+        for rows in ([[0, 1], [6, 0]], [[1, 0, 0], [0, 0, 1], [0, 6, 0]]):
+            a = IntegerMatrix.from_rows(rows)
+            assert _factors_mod(a, 6, list(range(a.rows))) == (6,)
+
     @settings(max_examples=150)
     @given(_DATA)
     def test_first_homology_equals_smith_route(self, d):
