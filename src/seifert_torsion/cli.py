@@ -8,6 +8,8 @@ double range, or a class count or other exact value past 4300 digits).
 rows still run and stderr ends "internal error in N rows".  Under main(),
 also 1 when stdout is closed early (for example piped into head): the rest
 of the output is dropped without a traceback.
+Files are read as UTF-8 (a batch row that is not gets a ValidationError
+record); main() writes UTF-8 to stdout and stderr whatever the locale.
 Exact rationals and potentially large exact integers appear in JSON output
 as strings, rendered by _exact; the small exact integers m_x,
 component_dimension and the homology rank stay JSON ints, bounded by _bounded;
@@ -46,6 +48,7 @@ from .errors import (
     SeifertError,
     ValidationError,
     brief_int,
+    brief_text,
 )
 from .homology import class_count, first_homology, moduli_from_homology
 from .parsing import format_seifert, parse_seifert
@@ -293,9 +296,11 @@ def zeta_selftest_report() -> dict:
 def _read_cs_file(path: str) -> tuple:
     """Chern-Simons phases: a JSON array, or whitespace-separated decimals."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read cs file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cs file is not valid UTF-8: {exc}") from exc
     stripped = text.strip()
     if not stripped:
         return ()
@@ -309,7 +314,8 @@ def _read_cs_file(path: str) -> tuple:
         # Each check is one C-level pass; only a failed one looks for the first bad entry.
         if not set(map(type, values)) <= {float}:  # true, "1.5", null, an array or an object
             bad = next(v for v in values if type(v) is not float)
-            raise ValidationError(f"cs file holds a non-numeric entry: {json.dumps(bad)}")
+            shown = brief_text(json.dumps(bad), str)
+            raise ValidationError(f"cs file holds a non-numeric entry: {shown}")
         cs = tuple(values)
     else:
         try:
@@ -402,21 +408,30 @@ _DATA_COMMANDS = {
 }
 
 
+def _utf8_row(line: str) -> str:
+    """A batch row as read with surrogateescape, or ValidationError if it was not UTF-8."""
+    try:
+        return line.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"row is not valid UTF-8: {exc}") from None
+
+
 def _cmd_data(args, out, err) -> int:
     build, _, line_keys = _DATA_COMMANDS[args.command]
     if args.data is not None:
         _emit(args, out, build(_parse_and_validate(args.data), args.gauge_rank))
         return 0
     try:
-        lines = Path(args.input).read_text().splitlines()
+        text = Path(args.input).read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ValidationError(f"cannot read input file: {exc}") from exc
     internal = 0
-    for line in lines:
+    for line in text.splitlines():
         try:
-            report = build(_parse_and_validate(line), args.gauge_rank)
+            report = build(_parse_and_validate(_utf8_row(line)), args.gauge_rank)
         except Exception as exc:  # any other exception is a bug: it stops this row only
             internal += not isinstance(exc, SeifertError)
+            line = line.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
             report = {"input": line, "error": {"type": type(exc).__name__, "message": str(exc)}}
         if args.format == "json":
             out.write(_json_line(report) + "\n")
@@ -456,13 +471,11 @@ def _cmd_selftest(args, out, err) -> int:
 
 
 def _int(text: str, name: str = "int") -> int:
-    """int(text); a ValueError (a literal past 4300 digits too) gives argparse's own
-    "invalid <name> value" message, which quotes the text only up to 50 characters."""
+    """int(text), or argparse's own "invalid <name> value" (a literal past 4300 digits too)."""
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 50 else f"<{len(text)} characters>"
-        raise argparse.ArgumentTypeError(f"invalid {name} value: {shown}") from None
+        raise argparse.ArgumentTypeError(f"invalid {name} value: {brief_text(text)}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -476,9 +489,9 @@ def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:  # the message argparse gives for type=float
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid float value: {brief_text(text)}") from None
     if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        raise argparse.ArgumentTypeError(f"must be finite, got {brief_text(text, str)}")
     return value
 
 
@@ -548,6 +561,8 @@ def run(argv=None, out=None, err=None) -> int:
 
 
 def main() -> None:
+    for stream in (sys.stdout, sys.stderr):  # reports hold text such as π
+        stream.reconfigure(encoding="utf-8", errors=stream.errors)
     try:
         code = run()
         sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit

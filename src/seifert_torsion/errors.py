@@ -15,6 +15,11 @@ def brief_int(n: int) -> str:
     return str(n) if abs(n) < 10**50 else f"{'-' * (n < 0)}<more than 50 digits>"
 
 
+def brief_text(text: str, show=repr) -> str:
+    """show(text) for an error message, or "<N characters>" past 50 characters."""
+    return show(text) if len(text) <= 50 else f"<{len(text)} characters>"
+
+
 class SeifertError(Exception):
     """Base class for all errors raised by this package."""
 

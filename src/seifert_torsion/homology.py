@@ -1,10 +1,8 @@
-"""Integer Smith normal form and the homology it computes.
+"""First homology in closed form, and the integer Smith normal form.
 
-first_homology takes one of two routes on the relation matrix A.  When
-D = |det A| != 0 (c1 != 0), D Z^n lies in the image of A and _factors_mod
-eliminates mod D without U or V (H. Cohen, GTM 138, 2.4), unit pivots first;
-D is the Bareiss IntegerMatrix.det, never the closed-form torsion order, which
-|Tors H1| thus checks independently.  When D = 0, smith_normal_form runs on A.
+first_homology reads H1 off the fiber orders and the Bareiss |det A| of the
+relation matrix A of the standard presentation (Orlik, Seifert Manifolds,
+LNM 291, 1972; Jankins and Neumann, Lectures on Seifert Manifolds, 1983).
 
 smith_normal_form is a deterministic elimination over the integers: pick the
 minimum-absolute-value nonzero entry of the working submatrix (ties broken by
@@ -13,7 +11,7 @@ Euclidean-style, and enforce the divisibility chain before moving on.  It
 runs on one block matrix [[A, I_rows], [I_cols, 0]]: row operations on its
 first `rows` rows carry U in the right block, column operations on its first
 `cols` columns carry V in the bottom block, and A becomes D, so U * A * V = D
-holds exactly with U, V unimodular.
+holds exactly with U, V unimodular.  No package code calls it (it is public).
 """
 
 from __future__ import annotations
@@ -151,83 +149,35 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     )
 
 
-def _xgcd(x: int, y: int) -> tuple[int, int, int]:
-    """(g, s, u) with s x + u y = g = gcd(x, y), for x >= 0, y > 0; (x, 1, 0) when x | y."""
-    if x and not y % x:
-        return x, 1, 0
-    g = gcd(x, y)
-    s = pow(x // g, -1, y // g)
-    return g, s, (g - s * x) // y
-
-
-def _factors_mod(a: IntegerMatrix, det: int, order: list[int]) -> tuple[int, ...]:
-    """Invariant factors > 1 of coker A for a square A with |det A| = det > 0.
-
-    Its one copy takes the rows and columns of A in `order` (a permutation, so
-    coker A stays) and reduces them into [0, det).  Unimodular 2x2 extended-gcd
-    row steps, then column steps, clear column t and row t until both stay
-    clear.  A step whose pivot divides the entry, on a clear row t or a clean
-    column t, only zeroes that entry: one % finds it before any _xgcd.  Each
-    pivot gives gcd(pivot, det); a pairwise gcd/lcm pass makes the chain.
-    """
-    n, e = a.cols, a.entries
-    b = [[e[i * n + k] % det for k in order] for i in order]
-    pivots = []
-    for t in range(n):
-        clean = clear = False  # clear: row t is zero past its pivot (then its pivot is > 0)
-        while not clean:
-            for i in range(t + 1, n):
-                y = b[i][t]
-                if y and clear and not y % b[t][t]:  # the quotient row step changes column t only
-                    b[i][t] = 0
-                elif y:
-                    bt, bi = b[t], b[i]
-                    g, s, u = _xgcd(bt[t], y)
-                    if u:  # else a plain quotient step: row t stays
-                        b[t], clear = [(s * e + u * f) % det for e, f in zip(bt, bi)], False
-                    p, r = bt[t] // g, y // g
-                    b[i] = [(p * f - r * e) % det for e, f in zip(bt, bi)]
-            clean = True  # column t is clear below the pivot
-            for j in range(t + 1, n):
-                x, y = b[t][t], b[t][j]
-                if not y:
-                    continue
-                if clean and x and not y % x:  # the quotient column step changes row t only
-                    b[t][j] = 0
-                    continue
-                g, s, u = _xgcd(x, y)
-                p, r, clean = x // g, y // g, False
-                for row in b[t:]:
-                    e, f = row[t], row[j]
-                    row[t], row[j] = (s * e + u * f) % det, (p * f - r * e) % det
-            clear = True  # every column step left row t zero past its pivot
-        pivots.append(gcd(b[t][t], det))
-    f = [e for e in pivots if e > 1]
-    for i in range(len(f)):
-        for j in range(i + 1, len(f)):
-            g = gcd(f[i], f[j])
-            f[i], f[j] = g, f[i] // g * f[j]
-    return tuple(e for e in f if e > 1)
-
-
 def first_homology(data: SeifertData) -> AbelianGroupDecomposition:
-    """H1 as Z^rank plus cyclic factors, from the abelianized relations.
+    """H1 = Z^rank + Tors H1 from the alpha_j and D = |det A|, the Bareiss det.
 
-    The genus generators contribute Z^{2g}; the cokernel of the relation
-    matrix A contributes the rest.  When D = |det A| != 0 (c1 != 0), rank = 2g
-    and the elimination mod D gives the factors, the fibers sorted by
-    (gcd(alpha_j, D), -alpha_j), h last: pivots sharing a factor with D fill
-    every row, so they come last.  When D = 0, smith_normal_form does, rank 2g + 1.
+    With d_1 | ... | d_M the invariant factors of the sum of the Z/alpha_j,
+    Tors H1 = Z/d_1 + ... + Z/d_{M-2} + Z/(D / (d_1 ... d_{M-2})), factors of
+    1 dropped, rank 2g; when c1 = 0 (D = 0) the last factor goes, rank 2g + 1.
+    D is never the closed form of torsion_order_integer, which |Tors H1| checks.
+
+    Why, at a prime p with v_(1) >= v_(2) >= ... the sorted v_p(alpha_j): as
+    gcd(alpha_j, beta_j) = 1, each relation alpha_j c_j + beta_j h = 0 leaves
+    <c_j, h> = Z, and gluing these along h gives Z_(p) + Z/p^v_(2) + ... +
+    Z/p^v_(M).  The surface relation has a unit coefficient on each summand
+    with v_(j) >= 1 (p does not divide beta_j), so it absorbs Z/p^v_(2) and
+    leaves Z/p^(v_(2) + v_p(x)) + Z/p^v_(3) + ..., x = c1 alpha_(1) a p-local
+    integer, 0 exactly when c1 = 0.
     """
     d = validate_seifert(data)
-    a = relation_matrix(d)
-    det = abs(a.det())
+    det = abs(relation_matrix(d).det())
+    f = list(d.alphas)  # row i of the pairwise (gcd, lcm) pass leaves d_{i+1} in f[i]
+    for i in range(len(f) - 2):
+        for j in range(i + 1, len(f)):
+            if f[i] == 1:  # gcd(1, x) = 1 and lcm(1, x) = x: the rest of the row stays
+                break
+            g = gcd(f[i], f[j])
+            f[i], f[j] = g, f[i] // g * f[j]
+    chain = f[:-2]
     if det:
-        n, e = a.cols, a.entries
-        order = sorted(range(n), key=lambda j: (j == n - 1, gcd(e[j * n + j], det), -e[j * n + j]))
-        return AbelianGroupDecomposition(2 * d.genus, _factors_mod(a, det, order))
-    factors = tuple(e for e in smith_normal_form(a).diagonal() if e > 1)
-    return AbelianGroupDecomposition(2 * d.genus + 1, factors)  # rank A = n - 1 (rows alpha_j e_j)
+        chain.append(det // prod(chain))
+    return AbelianGroupDecomposition(2 * d.genus + (not det), tuple(e for e in chain if e > 1))
 
 
 _COUNT_LIMIT = 10**4300  # the smallest count past Python's default int/str digit limit

@@ -41,10 +41,6 @@ class SeifertData:
         return tuple(a for a, _ in self.pairs)
 
     @property
-    def betas(self) -> tuple[int, ...]:
-        return tuple(b for _, b in self.pairs)
-
-    @property
     def alpha_product(self) -> int:
         return prod(self.alphas)
 
@@ -79,10 +75,6 @@ class IntegerMatrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         return cls(len(rows), width, tuple(e for r in rows for e in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]

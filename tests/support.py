@@ -55,6 +55,11 @@ def random_coprime_pair(rng, max_alpha, max_beta):
             return alpha, beta
 
 
+def identity(n: int) -> IntegerMatrix:
+    """The n x n identity matrix."""
+    return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
 def matmul(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     """The integer matrix product a b, by the row-column definition."""
     if a.cols != b.rows:

@@ -751,19 +751,25 @@ class TestComputeOnce:
         assert code == 0 and len(out.splitlines()) == len(self.ROWS)
         assert calls == {"relations": len(self.ROWS) - 1, "snf": 0}
 
-    def test_chern_zero_homology_row_one_smith_normal_form(self, monkeypatch):
-        # the torsion classes and the warning come from the report's one H1
-        calls = []
-        snf = homology.smith_normal_form
+    def test_chern_zero_homology_row_one_relation_matrix_no_snf(self, monkeypatch):
+        # the torsion classes and the warning come from the report's one H1,
+        # which is in closed form at c1 = 0 too
+        calls = {"relations": 0, "snf": 0}
+        relations, snf = homology.relation_matrix, homology.smith_normal_form
+
+        def counting_relations(data):
+            calls["relations"] += 1
+            return relations(data)
 
         def counting_snf(matrix):
-            calls.append(matrix)
+            calls["snf"] += 1
             return snf(matrix)
 
+        monkeypatch.setattr(homology, "relation_matrix", counting_relations)
         monkeypatch.setattr(homology, "smith_normal_form", counting_snf)
         code, out, _ = invoke("homology", "--data", "[0,-1;(2,1),(4,1),(4,1)]", "--format", "json")
         report = json.loads(out)
-        assert code == 0 and len(calls) == 1
+        assert code == 0 and calls == {"relations": 1, "snf": 0}
         assert report["torsion_classes"] == "2" and report["moduli"] is None
         assert report["warnings"] == ["c1 = 0: torsion-power identity not asserted for this datum"]
 
@@ -922,6 +928,79 @@ class TestPartitionCommand:
         argv = ("partition", "--data", "[1,1]", "--cs-file", str(path), f"--grav-phase={value}")
         assert invoke(*argv) == (2, "", "")
         assert f"argument --grav-phase: must be finite, got {value}\n" in capsys.readouterr().err
+
+
+class TestLongUserText:
+    """A --grav-phase value or a cs-file entry is quoted only up to 50 characters."""
+
+    @pytest.mark.parametrize(
+        "value,tail",
+        [
+            ("9" * 400, "must be finite, got <400 characters>"),
+            ("9" * 5000, "must be finite, got <5000 characters>"),
+            ("x" * 400, "invalid float value: <400 characters>"),
+            ("x" * 50, f"invalid float value: '{'x' * 50}'"),
+        ],
+        ids=["400-nines", "5000-nines", "400-letters", "50-letters"],
+    )
+    def test_grav_phase_message_is_short(self, tmp_path, capsys, value, tail):
+        path = tmp_path / "cs.json"
+        path.write_text("[0.0]")
+        argv = ("partition", "--data", "[1,1]", "--cs-file", str(path), f"--grav-phase={value}")
+        assert invoke(*argv) == (2, "", "")
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith(f"argument --grav-phase: {tail}") and len(last) < 200
+
+    @pytest.mark.parametrize(
+        "text,shown",
+        [
+            (json.dumps(["a" * 5000]), "<5002 characters>"),
+            (json.dumps([0.5, [0.5] * 2000]), f"<{len(json.dumps([0.5] * 2000))} characters>"),
+            (json.dumps([0.5, "a" * 48]), json.dumps("a" * 48)),
+        ],
+        ids=["json-string", "json-array", "50-characters"],
+    )
+    def test_cs_file_message_is_short(self, tmp_path, text, shown):
+        path = tmp_path / "cs.txt"
+        path.write_text(text)
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        assert (code, out, err) == (2, "", f"error: cs file holds a non-numeric entry: {shown}\n")
+        assert len(err) < 200
+
+
+class TestUtf8:
+    """Files are read as UTF-8, and main() writes UTF-8 whatever the locale."""
+
+    MESSAGE = "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"
+
+    def test_batch_row_that_is_not_utf8_gets_an_error_record(self, tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_bytes(b"[1,1]\n[0,\xff1]\n[0,2;(3,1),(3,1)]\n")
+        code, out, err = invoke("homology", "--input", str(path), "--format", "json")
+        out.encode("utf-8")  # the record holds no lone surrogate, so it can be written
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and err == "" and len(rows) == 3
+        message = f"row is not valid UTF-8: {self.MESSAGE}"
+        error = {"type": "ValidationError", "message": message}
+        assert rows[1] == {"input": "[0,\\xff1]", "error": error}
+        assert rows[0]["c1"] == "1" and rows[2]["c1"] == "8/3"
+        code, out, _ = invoke("homology", "--input", str(path))
+        assert code == 0 and out.splitlines()[1] == f"[0,\\xff1] error: {message}"
+
+    def test_cs_file_that_is_not_utf8_exits_two(self, tmp_path):
+        path = tmp_path / "cs.txt"
+        path.write_bytes(b"0.5\n\xff\n")
+        code, out, err = invoke("partition", "--data", "[1,1]", "--cs-file", str(path))
+        message = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+        assert (code, out, err) == (2, "", f"error: cs file is not valid UTF-8: {message}\n")
+
+    def test_main_writes_utf8_to_an_ascii_stream(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        env["PYTHONIOENCODING"] = "ascii"
+        argv = ["-m", "seifert_torsion", "invariants", "--data", "[0,2;(3,1),(3,1)]"]
+        proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert "scalar torsion      4.386490844928604 = (2π)^2/9\n" in proc.stdout.decode("utf-8")
 
 
 class TestBatch:

@@ -15,6 +15,7 @@ from support import (
     DATA_UNIT,
     chern_oracle,
     cofactor_det,
+    identity,
     matmul,
     random_coprime_pair,
     random_seifert,
@@ -199,7 +200,7 @@ class TestIntegerMatrix:
 
     def test_identity_and_product(self):
         a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
-        eye = IntegerMatrix.identity(2)
+        eye = identity(2)
         assert matmul(eye, a) == a
         assert matmul(a, eye) == a
 
@@ -209,7 +210,7 @@ class TestIntegerMatrix:
         assert matmul(a, b).to_rows() == [[2, 1], [4, 3]]
 
     def test_det_small_cases(self):
-        assert IntegerMatrix.identity(3).det() == 1
+        assert identity(3).det() == 1
         assert IntegerMatrix.from_rows([[0, 1], [1, 0]]).det() == -1
         assert IntegerMatrix.from_rows([[2, 0], [0, 3]]).det() == 6
         assert IntegerMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
